@@ -1,11 +1,12 @@
-// Algorithm-2 payment microbenches: shared-prefix counterfactuals vs the
-// naive full-replay oracle, and the parallel per-winner fan-out.
+// Algorithm-2 payment microbenches on the GreedyRound kernel: the batch
+// mechanism (payments after the round), the streaming round driver
+// (payments settled at each winner's reported departure), and the
+// critical-value bisection built on probe forks.
 //
 // The pinned counter pass (telemetry_main) makes the work counters the
-// story: the full-replay engine racks up auction.greedy.allocation_runs /
-// slots_processed per winner, while the shared-prefix engine replaces
-// them with auction.counterfactual.payment_forks whose slots_skipped
-// share is exactly the prefix the checkpoints let it not re-run.
+// story: one auction.greedy.allocation_runs per round, one
+// auction.counterfactual.payment_forks per winner, and a slots_skipped
+// share that is exactly the prefix each fork does not re-run.
 #include <benchmark/benchmark.h>
 
 #include "auction/counterfactual.hpp"
@@ -13,6 +14,7 @@
 #include "auction/online_greedy.hpp"
 #include "common/rng.hpp"
 #include "model/workload.hpp"
+#include "platform/round_driver.hpp"
 #include "telemetry_main.hpp"
 
 namespace {
@@ -26,61 +28,33 @@ model::Scenario scaled_scenario(int slots, std::uint64_t seed) {
   return model::generate_scenario(workload, rng);
 }
 
-auction::OnlineGreedyConfig engine_config(
-    auction::OnlineGreedyConfig::PaymentEngine engine, int threads = 1) {
-  auction::OnlineGreedyConfig config;
-  config.payment_engine = engine;
-  config.payment_threads = threads;
-  return config;
-}
-
-void BM_Payments_SharedPrefix(benchmark::State& state) {
+void BM_Payments_Batch(benchmark::State& state) {
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyMechanism mechanism(engine_config(
-      auction::OnlineGreedyConfig::PaymentEngine::kSharedPrefix));
+  const auction::OnlineGreedyMechanism mechanism;
   for (auto _ : state) {
     benchmark::DoNotOptimize(mechanism.run(s, bids));
   }
   state.counters["phones"] = static_cast<double>(s.phone_count());
   state.counters["tasks"] = static_cast<double>(s.task_count());
 }
-BENCHMARK(BM_Payments_SharedPrefix)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
+BENCHMARK(BM_Payments_Batch)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(200);
 
-void BM_Payments_FullReplay(benchmark::State& state) {
+void BM_Payments_Streaming(benchmark::State& state) {
+  // The same rounds through the slot-by-slot platform the serve path runs.
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyMechanism mechanism(engine_config(
-      auction::OnlineGreedyConfig::PaymentEngine::kFullReplay));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism.run(s, bids));
+    benchmark::DoNotOptimize(platform::run_round(s, bids));
   }
 }
-BENCHMARK(BM_Payments_FullReplay)->Arg(10)->Arg(20)->Arg(40)->Arg(80);
-
-void BM_Payments_SharedPrefixParallel(benchmark::State& state) {
-  // Fan the per-winner derivations over state.range(1) workers. Counters
-  // merge through the deterministic registry sum, so the pinned counter
-  // pass reports the same totals as the serial benches.
-  const model::Scenario s = scaled_scenario(40, 7);
-  const model::BidProfile bids = s.truthful_bids();
-  const auction::OnlineGreedyMechanism mechanism(engine_config(
-      auction::OnlineGreedyConfig::PaymentEngine::kSharedPrefix,
-      static_cast<int>(state.range(1))));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mechanism.run(s, bids));
-  }
-}
-BENCHMARK(BM_Payments_SharedPrefixParallel)
-    ->Args({40, 2})
-    ->Args({40, 4})
-    ->Args({40, 8});
+BENCHMARK(BM_Payments_Streaming)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(200);
 
 void BM_CriticalValue_SharedPrefixBisection(benchmark::State& state) {
-  // Every bisection probe forks from the checkpoint at the phone's
-  // arrival instead of replaying from slot 1.
+  // Every bisection probe forks at the phone's arrival instead of
+  // replaying from slot 1.
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
   const model::BidProfile bids = s.truthful_bids();

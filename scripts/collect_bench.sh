@@ -6,8 +6,8 @@
 #
 # Bench discovery: every google-benchmark binary matching
 # $BUILD_DIR/bench/perf_* by glob (currently perf_matching,
-# perf_mechanisms, perf_payments -- the shared-prefix vs full-replay
-# Algorithm-2 ablation -- perf_serve, the streaming engine's hot path,
+# perf_mechanisms, perf_payments -- Algorithm-2 payments, batch and
+# streaming, on the GreedyRound kernel -- perf_serve, the streaming engine's hot path,
 # and perf_serve_latency, the live-telemetry-plane overhead and latency
 # quantiles), plus the opted-in plain benches listed in OPT_IN_BENCHES
 # (binaries that wire bench/telemetry_scope.hpp).

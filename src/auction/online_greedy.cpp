@@ -1,14 +1,8 @@
 #include "auction/online_greedy.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <set>
-#include <thread>
+#include <utility>
 
-#include "auction/counterfactual.hpp"
-#include "common/assert.hpp"
-#include "obs/event_log.hpp"
-#include "obs/metrics.hpp"
+#include "auction/greedy_round.hpp"
 #include "obs/trace.hpp"
 
 namespace mcs::auction {
@@ -17,484 +11,55 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
                                 const model::BidProfile& bids,
                                 const OnlineGreedyConfig& config,
                                 std::optional<PhoneId> exclude,
-                                Slot::rep_type last_slot,
-                                GreedyCheckpoints* capture) {
-  model::validate_bids(scenario, bids);
-  MCS_EXPECTS(capture == nullptr || !exclude,
-              "checkpoints describe the factual run: capturing a "
-              "counterfactual (excluded) pass would poison every fork");
-  const Slot::rep_type horizon =
-      last_slot == 0 ? scenario.num_slots
-                     : std::min(last_slot, scenario.num_slots);
-
-  // Per-slot work counters, accumulated locally and published once at the
-  // end of the run (one registry access instead of one per slot).
-  obs::MetricsRegistry* const registry = obs::current_registry();
-  static const std::vector<double> kPoolBuckets = {0,  1,   2,   5,   10,  20,
-                                                   50, 100, 200, 500, 1000};
-  obs::Histogram* const pool_hist =
-      registry != nullptr
-          ? &registry->histogram("auction.greedy.pool_size", &kPoolBuckets)
-          : nullptr;
-  std::int64_t pool_insertions = 0;
-  std::int64_t tasks_assigned = 0;
-  std::int64_t tasks_unserved = 0;
-
-  // Arrival index: phones grouped by reported arrival slot. (Under
-  // allocate_only_profitable, eligibility is checked per task at
-  // allocation time, since the weighted-query extension gives tasks
-  // individual values.)
-  std::vector<std::vector<int>> arrivals(
-      static_cast<std::size_t>(scenario.num_slots) + 1);
-  for (int i = 0; i < scenario.phone_count(); ++i) {
-    if (exclude && exclude->value() == i) continue;
-    const model::Bid& bid = bids[static_cast<std::size_t>(i)];
-    if (config.reserve_price && bid.claimed_cost > *config.reserve_price) {
-      obs::log_event([&] {
-        obs::Event event("bid_rejected");
-        event.phone = i;
-        event.slot = static_cast<std::int32_t>(bid.window.begin().value());
-        event.with("reason", std::string("reserve"))
-            .with("bid", bid.claimed_cost)
-            .with("reserve", *config.reserve_price);
-        return event;
-      });
-      continue;  // above the platform reserve: never admitted
-    }
-    obs::log_event([&] {
-      obs::Event event("bid_admitted");
-      event.phone = i;
-      event.slot = static_cast<std::int32_t>(bid.window.begin().value());
-      event.with("bid", bid.claimed_cost)
-          .with("departs",
-                static_cast<std::int64_t>(bid.window.end().value()));
-      return event;
-    });
-    arrivals[static_cast<std::size_t>(bid.window.begin().value())].push_back(i);
-  }
-  // Departure index, mirroring the arrivals one: a bid with reported
-  // window [a~, d~] leaves the pool at the start of slot d~ + 1. Erasing
-  // only actual departures keeps the per-slot sweep O(departures) instead
-  // of O(pool).
-  std::vector<std::vector<int>> departures(
-      static_cast<std::size_t>(scenario.num_slots) + 2);
-  for (const std::vector<int>& slot_arrivals : arrivals) {
-    for (const int phone : slot_arrivals) {
-      const Slot::rep_type departs_after =
-          bids[static_cast<std::size_t>(phone)].window.end().value() + 1;
-      departures[static_cast<std::size_t>(departs_after)].push_back(phone);
-    }
-  }
-  if (capture != nullptr) {
-    capture->arrivals = arrivals;
-    capture->slots.assign(static_cast<std::size_t>(horizon) + 1, {});
-  }
-
-  const std::vector<int> tasks_per_slot = scenario.tasks_per_slot();
-  // Tasks of each slot in id order (dense ids sorted by slot make this a
-  // simple running cursor).
-  std::size_t next_task = 0;
-
+                                Slot::rep_type last_slot) {
+  GreedyRound round(scenario, bids, config, exclude, last_slot);
   GreedyRun run;
   run.allocation = Allocation(scenario.task_count(), scenario.phone_count());
-  run.slots.reserve(static_cast<std::size_t>(horizon));
-
-  std::set<PoolBid> pool;  // active unallocated bids
-
-  for (Slot::rep_type t = 1; t <= horizon; ++t) {
-    if (capture != nullptr) {
-      // Snapshot the slot-start state (before this slot's arrivals and
-      // departures): the fork point for counterfactuals of phones whose
-      // reported arrival is t.
-      GreedyCheckpoints::SlotStart& checkpoint =
-          capture->slots[static_cast<std::size_t>(t)];
-      checkpoint.pool.assign(pool.begin(), pool.end());
-      checkpoint.next_task = next_task;
-    }
-    // Add newly arriving bids (Algorithm 1 line 3, first half).
-    for (const int phone : arrivals[static_cast<std::size_t>(t)]) {
-      pool.insert(PoolBid{
-          bids[static_cast<std::size_t>(phone)].claimed_cost.micros(), phone});
-      ++pool_insertions;
-    }
-    // Drop departed bids (line 3, second half). Lazy would suffice for
-    // allocation, but the recorded pool must match Fig. 4's "dynamic pool".
-    // A departed bid may already be allocated (absent): erase is a no-op.
-    for (const int phone : departures[static_cast<std::size_t>(t)]) {
-      pool.erase(PoolBid{
-          bids[static_cast<std::size_t>(phone)].claimed_cost.micros(), phone});
-    }
-
+  run.slots.reserve(static_cast<std::size_t>(round.horizon()));
+  while (!round.finished()) {
     GreedySlotRecord record;
-    record.slot = Slot{t};
-    record.pool.reserve(pool.size());
-    for (const PoolBid& entry : pool) {
-      record.pool.push_back(PhoneId{entry.phone});
+    const GreedyRound::SlotResult& slot = round.advance(&record.pool);
+    record.slot = slot.slot;
+    for (const auto& [task, bid] : slot.assigned) {
+      run.allocation.assign(task, PhoneId{bid.phone});
+      record.winners.push_back(PhoneId{bid.phone});
     }
-    // The candidate pool at the start of the slot, cheapest first --
-    // Fig. 4's "dynamic pool" as a replayable record.
-    obs::log_event([&] {
-      obs::Event event("slot_pool");
-      event.slot = static_cast<std::int32_t>(t);
-      std::vector<std::int64_t> ids;
-      std::vector<std::int64_t> costs_micros;
-      ids.reserve(pool.size());
-      costs_micros.reserve(pool.size());
-      for (const PoolBid& entry : pool) {
-        ids.push_back(entry.phone);
-        costs_micros.push_back(entry.cost_micros);
-      }
-      event.with("pool", std::move(ids))
-          .with("pool_costs_micros", std::move(costs_micros));
-      return event;
-    });
-
-    // Allocate this slot's tasks to the cheapest pool members (lines 5-8).
-    // With the weighted-query extension, serve high-value tasks first so a
-    // dry pool starves only the least valuable ones (with uniform nu this
-    // is plain id order).
-    const int r_t = tasks_per_slot[static_cast<std::size_t>(t)];
-    std::vector<TaskId> slot_tasks;
-    slot_tasks.reserve(static_cast<std::size_t>(r_t));
-    for (int k = 0; k < r_t; ++k) {
-      const TaskId task{static_cast<int>(next_task + static_cast<std::size_t>(k))};
-      MCS_ASSERT(scenario.tasks[static_cast<std::size_t>(task.value())].slot ==
-                     Slot{t},
-                 "task cursor out of sync with slot");
-      slot_tasks.push_back(task);
-    }
-    next_task += static_cast<std::size_t>(r_t);
-    std::stable_sort(slot_tasks.begin(), slot_tasks.end(),
-                     [&](TaskId a, TaskId b) {
-                       return scenario.value_of(a) > scenario.value_of(b);
-                     });
-
-    for (const TaskId task : slot_tasks) {
-      if (pool.empty()) {
-        obs::log_event([&] {
-          obs::Event event("task_unserved");
-          event.slot = static_cast<std::int32_t>(t);
-          event.task = task.value();
-          event.with("reason", std::string("pool_empty"));
-          return event;
-        });
-        record.unserved.push_back(task);
-        continue;
-      }
-      const PoolBid chosen = *pool.begin();
-      if (config.allocate_only_profitable &&
-          Money::from_micros(chosen.cost_micros) > scenario.value_of(task)) {
-        // The cheapest remaining bid already exceeds this task's value, so
-        // no profitable assignment exists; the phone stays in the pool.
-        obs::log_event([&] {
-          obs::Event event("task_unserved");
-          event.slot = static_cast<std::int32_t>(t);
-          event.task = task.value();
-          event.with("reason", std::string("unprofitable"))
-              .with("cheapest_bid", Money::from_micros(chosen.cost_micros))
-              .with("cheapest_phone",
-                    static_cast<std::int64_t>(chosen.phone))
-              .with("task_value", scenario.value_of(task));
-          return event;
-        });
-        record.unserved.push_back(task);
-        continue;
-      }
-      pool.erase(pool.begin());
-      obs::log_event([&] {
-        obs::Event event("task_assigned");
-        event.slot = static_cast<std::int32_t>(t);
-        event.task = task.value();
-        event.phone = chosen.phone;
-        event.with("bid", Money::from_micros(chosen.cost_micros))
-            .with("task_value", scenario.value_of(task));
-        // The runner-up bid (next-cheapest pool member) documents how
-        // close the decision was; absent when the pool emptied.
-        if (!pool.empty()) {
-          event.with("runner_up_phone",
-                     static_cast<std::int64_t>(pool.begin()->phone))
-              .with("runner_up_bid",
-                    Money::from_micros(pool.begin()->cost_micros));
-        }
-        return event;
-      });
-      run.allocation.assign(task, PhoneId{chosen.phone});
-      record.winners.push_back(PhoneId{chosen.phone});
+    for (const GreedyRound::SlotTask& task : slot.unserved) {
+      record.unserved.push_back(task.id);
     }
     record.unallocated_tasks = static_cast<int>(record.unserved.size());
-    tasks_assigned += static_cast<std::int64_t>(record.winners.size());
-    tasks_unserved += static_cast<std::int64_t>(record.unserved.size());
-    if (pool_hist != nullptr) {
-      pool_hist->observe(static_cast<double>(pool.size()));
-    }
-
     run.slots.push_back(std::move(record));
   }
-
-  if (registry != nullptr) {
-    registry->counter("auction.greedy.allocation_runs").add(1);
-    registry->counter("auction.greedy.slots_processed")
-        .add(static_cast<std::int64_t>(horizon));
-    registry->counter("auction.greedy.pool_insertions").add(pool_insertions);
-    registry->counter("auction.greedy.tasks_assigned").add(tasks_assigned);
-    registry->counter("auction.greedy.tasks_unserved").add(tasks_unserved);
-  }
   return run;
-}
-
-namespace {
-
-/// Everything the payment_derivation event needs, computed without
-/// touching the event log -- so derivations can run on worker threads
-/// while the events still come out on the caller's thread in winner
-/// order, making the trail identical at every thread count.
-struct PaymentBreakdown {
-  Money payment;
-  bool scarce{false};
-  Money scarce_cap;
-  bool scarce_applied{false};
-  /// Which counterfactual slot winner set the final payment (the argmax
-  /// of Algorithm 2 line 6) -- the derivation reference of the record.
-  std::optional<PhoneId> setter_phone;
-  Slot setter_slot{0};
-};
-
-void apply_scarcity_policy(PaymentBreakdown& breakdown,
-                           const OnlineGreedyConfig& config) {
-  breakdown.scarce_applied =
-      breakdown.scarce &&
-      config.scarce_payment == OnlineGreedyConfig::ScarcePayment::kCapAtValue &&
-      breakdown.scarce_cap > breakdown.payment;
-  if (breakdown.scarce_applied) {
-    breakdown.payment = breakdown.scarce_cap;
-  }
-}
-
-/// Algorithm 2 by full re-run: the counterfactual without B_i replays
-/// from slot 1 up to the winner's reported departure. The straightforward
-/// reading of the paper, kept as the shared-prefix engine's equivalence
-/// oracle (OnlineGreedyConfig::PaymentEngine::kFullReplay).
-PaymentBreakdown derive_payment_full_replay(const model::Scenario& scenario,
-                                            const model::BidProfile& bids,
-                                            const OnlineGreedyConfig& config,
-                                            PhoneId winner, Slot win_slot) {
-  const model::Bid& own_bid = bids[static_cast<std::size_t>(winner.value())];
-  const Slot::rep_type depart = own_bid.window.end().value();
-
-  // Each counterfactual evaluation is one probe of i's critical value --
-  // the over-time analogue of a bisection probe (docs/observability.md).
-  // Its inner allocation decisions are search bookkeeping, not decisions
-  // of the recorded run, so event recording is suppressed for its scope.
-  obs::count("auction.critical_value.probes");
-  GreedyRun without;
-  {
-    const obs::ScopedEventLog suppress_counterfactual(nullptr);
-    without = run_greedy_allocation(scenario, bids, config, winner, depart);
-  }
-
-  PaymentBreakdown breakdown;
-  breakdown.payment = own_bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
-  for (const GreedySlotRecord& record : without.slots) {
-    if (record.slot < win_slot) continue;  // only slots in [t'_i, d~_i]
-    for (const TaskId task : record.unserved) {
-      // Without i this task goes unserved. i's winning threshold for it is
-      // the reserve price (if set: bids above it never enter), else the
-      // task's value under profitable-only, else unbounded -- in which
-      // case the task's value serves as the documented cap.
-      breakdown.scarce = true;
-      Money cap = scenario.value_of(task);
-      if (config.reserve_price) {
-        cap = config.allocate_only_profitable
-                  ? std::min(*config.reserve_price, cap)
-                  : *config.reserve_price;
-      }
-      breakdown.scarce_cap = std::max(breakdown.scarce_cap, cap);
-    }
-    if (!record.winners.empty()) {
-      // Line 6: the r_t-th (highest-cost) winner of the slot.
-      const PhoneId last = record.winners.back();
-      const Money rival =
-          bids[static_cast<std::size_t>(last.value())].claimed_cost;
-      if (rival > breakdown.payment) {
-        breakdown.payment = rival;
-        breakdown.setter_phone = last;
-        breakdown.setter_slot = record.slot;
-      }
-    }
-  }
-  apply_scarcity_policy(breakdown, config);
-  return breakdown;
-}
-
-/// Algorithm 2 on the shared-prefix engine: the counterfactual forks from
-/// the factual checkpoint at the winner's reported arrival, replaying only
-/// [t'_i, d~_i]. Money-equal to derive_payment_full_replay by the prefix
-/// invariant (proved across engines by the payment equivalence suite).
-PaymentBreakdown derive_payment_shared_prefix(const CounterfactualEngine& engine,
-                                              PhoneId winner, Slot win_slot) {
-  const model::Bid& own_bid =
-      engine.bids()[static_cast<std::size_t>(winner.value())];
-  const Slot::rep_type depart = own_bid.window.end().value();
-  obs::count("auction.critical_value.probes");
-
-  PaymentBreakdown breakdown;
-  breakdown.payment = own_bid.claimed_cost;  // Algorithm 2 line 1: p_i <- b_i
-  for (const CounterfactualEngine::ReplaySlot& slot :
-       engine.replay_without(winner, win_slot.value(), depart)) {
-    if (slot.scarce_cap) {
-      breakdown.scarce = true;
-      breakdown.scarce_cap = std::max(breakdown.scarce_cap, *slot.scarce_cap);
-    }
-    if (slot.dearest_cost && *slot.dearest_cost > breakdown.payment) {
-      breakdown.payment = *slot.dearest_cost;
-      breakdown.setter_phone = slot.dearest_phone;
-      breakdown.setter_slot = slot.slot;
-    }
-  }
-  apply_scarcity_policy(breakdown, engine.config());
-  return breakdown;
-}
-
-void log_payment_derivation(const PaymentBreakdown& breakdown,
-                            const model::Bid& own_bid, PhoneId winner,
-                            Slot win_slot) {
-  obs::log_event([&] {
-    obs::Event event("payment_derivation");
-    event.phone = winner.value();
-    event.slot = static_cast<std::int32_t>(win_slot.value());
-    event.with("rule", std::string("algorithm2.counterfactual_max"))
-        .with("payment", breakdown.payment)
-        .with("own_bid", own_bid.claimed_cost)
-        .with("window_end",
-              static_cast<std::int64_t>(own_bid.window.end().value()));
-    if (breakdown.setter_phone) {
-      event.with("set_by_phone",
-                 static_cast<std::int64_t>(breakdown.setter_phone->value()))
-          .with("set_in_slot",
-                static_cast<std::int64_t>(breakdown.setter_slot.value()));
-    }
-    event.with("scarce", breakdown.scarce);
-    if (breakdown.scarce) event.with("scarce_cap", breakdown.scarce_cap);
-    event.with("scarce_applied", breakdown.scarce_applied);
-    return event;
-  });
-}
-
-}  // namespace
-
-Money OnlineGreedyMechanism::compute_payment(const model::Scenario& scenario,
-                                             const model::BidProfile& bids,
-                                             PhoneId winner,
-                                             Slot win_slot) const {
-  PaymentBreakdown breakdown;
-  if (config_.payment_engine ==
-      OnlineGreedyConfig::PaymentEngine::kSharedPrefix) {
-    // A single-winner query amortizes nothing, but still pays for at most
-    // one factual pass plus one suffix replay; run() shares one engine
-    // across all winners.
-    const CounterfactualEngine engine(scenario, bids, config_);
-    breakdown = derive_payment_shared_prefix(engine, winner, win_slot);
-  } else {
-    breakdown =
-        derive_payment_full_replay(scenario, bids, config_, winner, win_slot);
-  }
-  log_payment_derivation(
-      breakdown, bids[static_cast<std::size_t>(winner.value())], winner,
-      win_slot);
-  return breakdown.payment;
 }
 
 Outcome OnlineGreedyMechanism::run(const model::Scenario& scenario,
                                    const model::BidProfile& bids) const {
   const obs::TraceSpan span("online_greedy.run");
-  scenario.validate();
-  const bool shared_prefix =
-      config_.payment_engine == OnlineGreedyConfig::PaymentEngine::kSharedPrefix;
 
   Outcome outcome;
-  GreedyRun greedy;
-  GreedyCheckpoints checkpoints;
+  outcome.allocation = Allocation(scenario.task_count(), scenario.phone_count());
+  outcome.payments.assign(scenario.phones.size(), Money{});
+  std::vector<std::pair<PhoneId, Slot>> winners;  // in allocation order
+  std::optional<GreedyRound> round;
   {
     const obs::TraceSpan allocation_span("online_greedy.allocation");
-    greedy = run_greedy_allocation(scenario, bids, config_, std::nullopt, 0,
-                                   shared_prefix ? &checkpoints : nullptr);
+    round.emplace(scenario, bids, config_);
+    while (!round->finished()) {
+      const GreedyRound::SlotResult& slot = round->advance();
+      for (const auto& [task, bid] : slot.assigned) {
+        outcome.allocation.assign(task, PhoneId{bid.phone});
+        winners.emplace_back(PhoneId{bid.phone}, slot.slot);
+      }
+    }
   }
-  outcome.allocation = std::move(greedy.allocation);
-  outcome.payments.assign(scenario.phones.size(), Money{});
-
   {
     const obs::TraceSpan payment_span("online_greedy.payments");
-    struct WinRecord {
-      PhoneId phone{-1};
-      Slot slot{0};
-    };
-    std::vector<WinRecord> winners;
-    for (const GreedySlotRecord& record : greedy.slots) {
-      for (const PhoneId winner : record.winners) {
-        winners.push_back(WinRecord{winner, record.slot});
-      }
-    }
-
-    std::optional<CounterfactualEngine> engine;
-    if (shared_prefix) {
-      engine.emplace(scenario, bids, config_, std::move(checkpoints));
-    }
-    const auto derive = [&](const WinRecord& win) {
-      return shared_prefix
-                 ? derive_payment_shared_prefix(*engine, win.phone, win.slot)
-                 : derive_payment_full_replay(scenario, bids, config_,
-                                              win.phone, win.slot);
-    };
-
-    // Per-winner derivations are independent and read-only: fan them out
-    // over payment_threads workers, strided like sim::simulate_parallel.
-    // Each worker records into its own registry (new threads inherit no
-    // thread-local state, so worker event logs are off by construction);
-    // the partials merge in worker order after the join, and counter
-    // merges are sums, so the totals equal a serial run exactly.
-    std::vector<PaymentBreakdown> breakdowns(winners.size());
-    std::size_t threads = config_.payment_threads > 0
-                              ? static_cast<std::size_t>(config_.payment_threads)
-                              : std::max<std::size_t>(
-                                    std::thread::hardware_concurrency(), 1);
-    threads = std::min(threads, winners.size());
-    if (threads <= 1) {
-      for (std::size_t k = 0; k < winners.size(); ++k) {
-        breakdowns[k] = derive(winners[k]);
-      }
-    } else {
-      obs::MetricsRegistry* const parent_registry = obs::current_registry();
-      std::vector<obs::MetricsRegistry> worker_metrics(threads);
-      std::vector<std::thread> workers;
-      workers.reserve(threads);
-      for (std::size_t w = 0; w < threads; ++w) {
-        workers.emplace_back([&, w] {
-          std::optional<obs::ScopedRegistry> telemetry;
-          if (parent_registry != nullptr) {
-            telemetry.emplace(&worker_metrics[w]);
-          }
-          for (std::size_t k = w; k < winners.size(); k += threads) {
-            breakdowns[k] = derive(winners[k]);
-          }
-        });
-      }
-      for (std::thread& worker : workers) worker.join();
-      if (parent_registry != nullptr) {
-        for (const obs::MetricsRegistry& partial : worker_metrics) {
-          parent_registry->merge(partial);
-        }
-      }
-    }
-
-    // Events and payments written back on this thread in winner order:
-    // the recorded trail is identical at every thread count.
-    for (std::size_t k = 0; k < winners.size(); ++k) {
-      const WinRecord& win = winners[k];
-      log_payment_derivation(
-          breakdowns[k], bids[static_cast<std::size_t>(win.phone.value())],
-          win.phone, win.slot);
-      outcome.payments[static_cast<std::size_t>(win.phone.value())] =
-          breakdowns[k].payment;
+    for (const auto& [winner, win_slot] : winners) {
+      const GreedyPayment payment = round->payment(winner);
+      payment.log(win_slot);
+      outcome.payments[static_cast<std::size_t>(winner.value())] =
+          payment.amount;
     }
   }
 

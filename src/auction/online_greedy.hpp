@@ -20,6 +20,10 @@
 //    value nu (kCapAtValue) or falls back to b_i (kOwnBid).
 //  * profitability: Algorithm 1 as printed allocates even when b_i > nu;
 //    allocate_only_profitable = true skips such bids.
+//
+// Both rules are implemented once, in auction::GreedyRound
+// (auction/greedy_round.hpp); this header holds the configuration and the
+// batch entry points built on it.
 #pragma once
 
 #include <optional>
@@ -33,26 +37,6 @@ struct OnlineGreedyConfig {
   /// Skip bids whose claimed cost exceeds the task value (off = faithful to
   /// the paper's Algorithm 1, which allocates unconditionally).
   bool allocate_only_profitable = false;
-
-  /// How Algorithm 2 evaluates its counterfactual runs.
-  enum class PaymentEngine {
-    /// Fork each counterfactual from the factual run's per-slot
-    /// checkpoints at the winner's reported arrival (the runs are
-    /// byte-identical before it). Same payments, far less work.
-    kSharedPrefix,
-    /// Re-run Algorithm 1 from slot 1 for every counterfactual -- the
-    /// straightforward reading of the paper, kept as the equivalence
-    /// oracle for the shared-prefix engine.
-    kFullReplay,
-  };
-  PaymentEngine payment_engine = PaymentEngine::kSharedPrefix;
-
-  /// Worker threads for the per-winner payment fan-out in run(). The
-  /// derivations are independent and read-only; results are written back
-  /// in winner order and per-worker metrics merge deterministically, so
-  /// any value yields identical payments, events, and counters.
-  /// 1 = serial (default), 0 = hardware concurrency.
-  int payment_threads = 1;
 
   /// Platform reserve price: bids claiming more than this can never win.
   /// A set reserve bounds every critical value by the reserve, so the
@@ -95,22 +79,16 @@ struct GreedyRun {
   std::vector<GreedySlotRecord> slots;  ///< index t-1 describes slot t
 };
 
-struct GreedyCheckpoints;  // auction/counterfactual.hpp
-
 /// Runs Algorithm 1 on `bids`, optionally pretending phone `exclude` never
 /// bid (the counterfactual run of Algorithm 2), stopping after `last_slot`
-/// (0 = the full round). Exposed publicly because the payment scheme, the
-/// second-price baseline, and several tests all build on it.
-///
-/// When `capture` is non-null the pass additionally snapshots its
-/// per-slot-start state (pool + task cursor) into it, for a
-/// CounterfactualEngine to fork from; capturing is only meaningful on
-/// factual runs (no `exclude`).
+/// (0 = the full round). Exposed publicly because the second-price
+/// baseline, the analyses, and several tests build on it. A thin driver
+/// over auction::GreedyRound (auction/greedy_round.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,
     const OnlineGreedyConfig& config = {},
     std::optional<PhoneId> exclude = std::nullopt,
-    Slot::rep_type last_slot = 0, GreedyCheckpoints* capture = nullptr);
+    Slot::rep_type last_slot = 0);
 
 class OnlineGreedyMechanism final : public Mechanism {
  public:
@@ -123,13 +101,6 @@ class OnlineGreedyMechanism final : public Mechanism {
   [[nodiscard]] std::string name() const override { return "online-greedy"; }
 
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
-
-  /// Algorithm 2 for a single winner: the payment for `winner`, which won
-  /// in slot `win_slot` under `bids`. Exposed for the critical-value
-  /// cross-check tests.
-  [[nodiscard]] Money compute_payment(const model::Scenario& scenario,
-                                      const model::BidProfile& bids,
-                                      PhoneId winner, Slot win_slot) const;
 
  private:
   OnlineGreedyConfig config_;

@@ -267,17 +267,17 @@ void preregister_headline_counters(MetricsRegistry& registry) {
   registry.counter("auction.greedy.allocation_runs",
                    "Algorithm-1 (online greedy allocation) executions");
   registry.counter("auction.counterfactual.payment_forks",
-                   "Algorithm-2 payment replays forked from a shared-prefix "
-                   "checkpoint");
+                   "Algorithm-2 payments: runs without the winner, forked at "
+                   "its reported arrival (batch and streaming alike)");
   registry.counter("auction.counterfactual.probe_forks",
-                   "critical-value bisection probes forked from a "
-                   "shared-prefix checkpoint");
+                   "critical-value bisection probes forked at the probed "
+                   "phone's reported arrival");
   registry.counter("auction.counterfactual.slots_replayed",
-                   "slots simulated by counterfactual forks (the suffix "
-                   "after the fork point)");
+                   "slots simulated by counterfactual forks (the fork slot "
+                   "through the departure)");
   registry.counter("auction.counterfactual.slots_skipped",
-                   "slots inherited byte-identically from factual "
-                   "checkpoints instead of being replayed");
+                   "slots before a fork point, inherited from the factual "
+                   "run instead of being replayed");
 }
 
 // ------------------------------------------------------ current registry

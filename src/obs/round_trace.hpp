@@ -44,7 +44,8 @@ enum class TracePhase : std::uint8_t {
   kIngest = 0,   ///< intended (paced) send time -> actual submit
   kQueueWait,    ///< enqueue -> dequeue on the shard queue
   kSlotTick,     ///< one slot_tick's allocation step
-  kPayment,      ///< round_close settlement (Algorithm 2 payments)
+  kPayment,      ///< round_close: outcome materialisation (Algorithm 2 runs
+                 ///< at departures, inside kSlotTick spans)
   kAudit,        ///< econ sentinel audit of the closed round
   kRoundClose,   ///< terminal zero-length marker; latency_ns is the field
 };

@@ -1,337 +1,52 @@
 #include "platform/platform.hpp"
 
-#include <algorithm>
-#include <optional>
-#include <string>
-#include <vector>
-
 #include "common/assert.hpp"
-#include "obs/event_log.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcs::platform {
 
 OnlinePlatform::OnlinePlatform(Slot::rep_type num_slots,
                                Money default_task_value,
                                auction::OnlineGreedyConfig config)
-    : num_slots_(num_slots),
-      default_task_value_(default_task_value),
-      config_(config) {
-  MCS_EXPECTS(num_slots >= 1, "round must have at least one slot");
+    : round_(num_slots, config), default_task_value_(default_task_value) {
   MCS_EXPECTS(!default_task_value.is_negative(), "task value must be >= 0");
 }
 
 void OnlinePlatform::announce_task(TaskId id, std::optional<Money> value) {
   MCS_EXPECTS(!finished(), "round is over");
-  MCS_EXPECTS(id.value() == last_task_id_ + 1,
+  MCS_EXPECTS(id.value() == round_.task_count(),
               "task ids must be dense and increasing");
-  last_task_id_ = id.value();
-  tasks_.push_back(StoredTask{id, Slot{current_slot_},
-                              value.value_or(default_task_value_)});
+  round_.announce_task(value.value_or(default_task_value_));
 }
 
 bool OnlinePlatform::submit_bid(AgentId agent, const model::Bid& bid) {
-  MCS_EXPECTS(!finished(), "round is over");
-  MCS_EXPECTS(bid.window.begin().value() == current_slot_,
-              "phones bid in the slot they join");
-  MCS_EXPECTS(bid.window.end().value() <= num_slots_,
-              "reported departure beyond the round");
-  MCS_EXPECTS(!bid.claimed_cost.is_negative(), "claimed cost must be >= 0");
-  for (const StoredBid& existing : bids_) {
-    MCS_EXPECTS(existing.agent != agent, "agent already submitted a bid");
-  }
-  if (config_.reserve_price && bid.claimed_cost > *config_.reserve_price) {
-    obs::log_event([&] {
-      obs::Event event("bid_rejected");
-      event.slot = static_cast<std::int32_t>(current_slot_);
-      event.phone = agent.value();
-      event.with("reason", std::string("reserve"))
-          .with("bid", bid.claimed_cost)
-          .with("reserve", *config_.reserve_price);
-      return event;
-    });
-    return false;  // rejected at the door
-  }
-  bids_.push_back(StoredBid{agent, bid, false, Slot{0}});
-  obs::log_event([&] {
-    obs::Event event("bid_admitted");
-    event.slot = static_cast<std::int32_t>(current_slot_);
-    event.phone = agent.value();
-    event.with("bid", bid.claimed_cost)
-        .with("departs", static_cast<std::int64_t>(bid.window.end().value()));
-    return event;
-  });
-  return true;
-}
-
-Money OnlinePlatform::scarce_cap_for(Money task_value) const {
-  if (config_.reserve_price) {
-    return config_.allocate_only_profitable
-               ? std::min(*config_.reserve_price, task_value)
-               : *config_.reserve_price;
-  }
-  return task_value;
+  return round_.submit_bid(agent, bid);
 }
 
 SlotReport OnlinePlatform::advance_slot() {
   MCS_EXPECTS(!finished(), "round is over");
-  const Slot::rep_type t = current_slot_;
   SlotReport report;
-  report.slot = Slot{t};
-
-  // --- Algorithm 1 step: assign this slot's tasks, dearest value first.
-  std::vector<std::size_t> slot_tasks;
-  for (std::size_t k = first_task_of_slot_; k < tasks_.size(); ++k) {
-    slot_tasks.push_back(k);
+  const auction::GreedyRound::SlotResult& slot = round_.advance();
+  report.slot = slot.slot;
+  for (const auto& [task, bid] : slot.assigned) {
+    report.assignments.emplace_back(task, AgentId{bid.phone});
   }
-  first_task_of_slot_ = tasks_.size();
-  std::stable_sort(slot_tasks.begin(), slot_tasks.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return tasks_[a].value > tasks_[b].value;
-                   });
-
-  // Active unallocated bids, cheapest (then lowest agent id) first.
-  std::vector<StoredBid*> pool;
-  for (StoredBid& stored : bids_) {
-    if (!stored.allocated && stored.bid.window.contains(Slot{t})) {
-      pool.push_back(&stored);
-    }
+  for (const auction::GreedyRound::SlotTask& task : slot.unserved) {
+    report.unserved_tasks.push_back(task.id);
   }
-  std::sort(pool.begin(), pool.end(), [](const StoredBid* a, const StoredBid* b) {
-    if (a->bid.claimed_cost != b->bid.claimed_cost) {
-      return a->bid.claimed_cost < b->bid.claimed_cost;
-    }
-    return a->agent < b->agent;
-  });
-  obs::log_event([&] {
-    obs::Event event("slot_pool");
-    event.slot = static_cast<std::int32_t>(t);
-    std::vector<std::int64_t> ids;
-    std::vector<std::int64_t> costs;
-    ids.reserve(pool.size());
-    costs.reserve(pool.size());
-    for (const StoredBid* stored : pool) {
-      ids.push_back(stored->agent.value());
-      costs.push_back(stored->bid.claimed_cost.micros());
-    }
-    event.with("pool", std::move(ids))
-        .with("pool_costs_micros", std::move(costs))
-        .with("tasks", static_cast<std::int64_t>(slot_tasks.size()));
-    return event;
-  });
 
-  std::size_t next = 0;
-  for (const std::size_t k : slot_tasks) {
-    const StoredTask& task = tasks_[k];
-    if (next >= pool.size()) {
-      report.unserved_tasks.push_back(task.id);
-      obs::log_event([&] {
-        obs::Event event("task_unserved");
-        event.slot = static_cast<std::int32_t>(t);
-        event.task = task.id.value();
-        event.with("reason", std::string("pool_empty"))
-            .with("task_value", task.value);
-        return event;
-      });
+  // Departures: a winner's critical value is settled by its reported
+  // departure, so it is paid now.
+  for (const auto& [agent, won] : round_.departing(report.slot.value())) {
+    if (!won) {
+      report.unpaid_departures.push_back(agent);
       continue;
     }
-    StoredBid* cheapest = pool[next];
-    if (config_.allocate_only_profitable &&
-        cheapest->bid.claimed_cost > task.value) {
-      report.unserved_tasks.push_back(task.id);
-      obs::log_event([&] {
-        obs::Event event("task_unserved");
-        event.slot = static_cast<std::int32_t>(t);
-        event.task = task.id.value();
-        event.with("reason", std::string("unprofitable"))
-            .with("task_value", task.value)
-            .with("cheapest_bid", cheapest->bid.claimed_cost)
-            .with("cheapest_phone",
-                  static_cast<std::int64_t>(cheapest->agent.value()));
-        return event;
-      });
-      continue;  // the phone stays available for later tasks
-    }
-    cheapest->allocated = true;
-    cheapest->win_slot = Slot{t};
-    report.assignments.emplace_back(task.id, cheapest->agent);
-    obs::log_event([&] {
-      obs::Event event("task_assigned");
-      event.slot = static_cast<std::int32_t>(t);
-      event.task = task.id.value();
-      event.phone = cheapest->agent.value();
-      event.with("bid", cheapest->bid.claimed_cost)
-          .with("task_value", task.value);
-      if (next + 1 < pool.size()) {
-        const StoredBid* runner_up = pool[next + 1];
-        event.with("runner_up_phone",
-                   static_cast<std::int64_t>(runner_up->agent.value()))
-            .with("runner_up_bid", runner_up->bid.claimed_cost);
-      }
-      return event;
-    });
-    ++next;
+    const auction::GreedyPayment payment = round_.payment(agent);
+    payment.log(report.slot);
+    total_paid_ += payment.amount;
+    report.payments.emplace_back(agent, payment.amount);
   }
-
-  // --- Departures: settle everyone whose reported departure is this slot.
-  for (const StoredBid& stored : bids_) {
-    if (stored.bid.window.end().value() != t) continue;
-    if (stored.allocated) {
-      const Money payment = payment_for(stored);
-      total_paid_ += payment;
-      report.payments.emplace_back(stored.agent, payment);
-    } else {
-      report.unpaid_departures.push_back(stored.agent);
-    }
-  }
-
-  ++current_slot_;
   return report;
-}
-
-std::vector<OnlinePlatform::ReplaySlot> OnlinePlatform::replay_without(
-    AgentId excluded, Slot::rep_type last_slot) const {
-  std::vector<ReplaySlot> result(static_cast<std::size_t>(last_slot) + 1);
-
-  // Shared-prefix fork: the excluded agent cannot influence any slot
-  // before its own submission, so the counterfactual history up to that
-  // slot *is* the recorded history. Rebuild the fork state from the
-  // stored win_slot flags (every allocation before `fork` is final by the
-  // time payments are issued) and the task list, and replay only the
-  // suffix. This derivation is deliberately independent of the batch
-  // engine's checkpoint mechanism, so the equivalence tests keep
-  // cross-validating both.
-  Slot::rep_type fork = 1;
-  for (const StoredBid& stored : bids_) {
-    if (stored.agent == excluded) {
-      fork = stored.bid.window.begin().value();
-      break;
-    }
-  }
-
-  // Fresh bookkeeping over the stored history (never touches the live
-  // allocation flags).
-  std::vector<char> taken(bids_.size(), 0);
-  for (std::size_t b = 0; b < bids_.size(); ++b) {
-    if (bids_[b].allocated && bids_[b].win_slot.value() < fork) taken[b] = 1;
-  }
-  // tasks_ is slot-sorted (announced in slot order): skip to the suffix.
-  std::size_t task_cursor = 0;
-  while (task_cursor < tasks_.size() &&
-         tasks_[task_cursor].slot.value() < fork) {
-    ++task_cursor;
-  }
-  obs::MetricsRegistry* const registry = obs::current_registry();
-  if (registry != nullptr) {
-    registry->counter("platform.counterfactual.forks").add(1);
-    registry->counter("platform.counterfactual.slots_skipped")
-        .add(static_cast<std::int64_t>(fork) - 1);
-    if (last_slot >= fork) {
-      registry->counter("platform.counterfactual.slots_replayed")
-          .add(static_cast<std::int64_t>(last_slot - fork) + 1);
-    }
-  }
-
-  for (Slot::rep_type t = fork; t <= last_slot; ++t) {
-    std::vector<std::size_t> slot_tasks;
-    while (task_cursor < tasks_.size() &&
-           tasks_[task_cursor].slot.value() == t) {
-      slot_tasks.push_back(task_cursor);
-      ++task_cursor;
-    }
-    // Skip tasks of earlier slots (possible when history starts mid-round).
-    std::stable_sort(slot_tasks.begin(), slot_tasks.end(),
-                     [&](std::size_t a, std::size_t b) {
-                       return tasks_[a].value > tasks_[b].value;
-                     });
-
-    std::vector<std::size_t> pool;
-    for (std::size_t b = 0; b < bids_.size(); ++b) {
-      if (taken[b]) continue;
-      const StoredBid& stored = bids_[b];
-      if (stored.agent == excluded) continue;
-      if (stored.bid.window.contains(Slot{t})) pool.push_back(b);
-    }
-    std::sort(pool.begin(), pool.end(), [&](std::size_t a, std::size_t b) {
-      if (bids_[a].bid.claimed_cost != bids_[b].bid.claimed_cost) {
-        return bids_[a].bid.claimed_cost < bids_[b].bid.claimed_cost;
-      }
-      return bids_[a].agent < bids_[b].agent;
-    });
-
-    ReplaySlot& replay = result[static_cast<std::size_t>(t)];
-    std::size_t next = 0;
-    for (const std::size_t k : slot_tasks) {
-      const StoredTask& task = tasks_[k];
-      if (next >= pool.size()) {
-        const Money cap = scarce_cap_for(task.value);
-        replay.scarce_cap =
-            std::max(replay.scarce_cap.value_or(Money{}), cap);
-        continue;
-      }
-      const StoredBid& cheapest = bids_[pool[next]];
-      if (config_.allocate_only_profitable &&
-          cheapest.bid.claimed_cost > task.value) {
-        const Money cap = scarce_cap_for(task.value);
-        replay.scarce_cap =
-            std::max(replay.scarce_cap.value_or(Money{}), cap);
-        continue;
-      }
-      taken[pool[next]] = 1;
-      replay.dearest_winner = std::max(
-          replay.dearest_winner.value_or(Money{}), cheapest.bid.claimed_cost);
-      ++next;
-    }
-  }
-  return result;
-}
-
-Money OnlinePlatform::payment_for(const StoredBid& winner) const {
-  const Slot::rep_type depart = winner.bid.window.end().value();
-  const std::vector<ReplaySlot> replay = replay_without(winner.agent, depart);
-
-  Money payment = winner.bid.claimed_cost;
-  std::optional<Slot::rep_type> setter_slot;
-  bool scarce = false;
-  Money scarce_cap;
-  for (Slot::rep_type t = winner.win_slot.value(); t <= depart; ++t) {
-    const ReplaySlot& slot = replay[static_cast<std::size_t>(t)];
-    if (slot.dearest_winner && *slot.dearest_winner > payment) {
-      payment = *slot.dearest_winner;
-      setter_slot = t;
-    }
-    if (slot.scarce_cap) {
-      scarce = true;
-      scarce_cap = std::max(scarce_cap, *slot.scarce_cap);
-    }
-  }
-  bool scarce_applied = false;
-  if (scarce && config_.scarce_payment ==
-                    auction::OnlineGreedyConfig::ScarcePayment::kCapAtValue) {
-    if (scarce_cap > payment) {
-      payment = scarce_cap;
-      scarce_applied = true;
-      setter_slot.reset();
-    }
-  }
-  obs::log_event([&] {
-    obs::Event event("payment_derivation");
-    event.slot = static_cast<std::int32_t>(depart);
-    event.phone = winner.agent.value();
-    event.with("rule", std::string("algorithm2.replay_max"))
-        .with("payment", payment)
-        .with("own_bid", winner.bid.claimed_cost)
-        .with("win_slot",
-              static_cast<std::int64_t>(winner.win_slot.value()));
-    if (setter_slot) {
-      event.with("set_in_slot", static_cast<std::int64_t>(*setter_slot));
-    }
-    event.with("scarce", scarce);
-    if (scarce) event.with("scarce_cap", scarce_cap);
-    event.with("scarce_applied", scarce_applied);
-    return event;
-  });
-  return payment;
 }
 
 }  // namespace mcs::platform

@@ -9,15 +9,16 @@
 // reported departure slot, the earliest moment its Algorithm-2 critical
 // value is determined).
 //
-// The implementation is deliberately independent of the batch mechanism
-// (its own pool bookkeeping, its own counterfactual replay), so the test
-// suite's equivalence check -- identical allocation and payments on
-// randomized rounds -- cross-validates both.
+// Both the platform and the batch mechanism run on auction::GreedyRound,
+// the one implementation of Algorithms 1 and 2; the platform adds the
+// protocol checks and the per-slot report. The test suite checks both
+// against an independent from-scratch oracle (tests/support).
 #pragma once
 
 #include <optional>
 #include <vector>
 
+#include "auction/greedy_round.hpp"
 #include "auction/online_greedy.hpp"
 #include "common/money.hpp"
 #include "common/types.hpp"
@@ -45,8 +46,8 @@ class OnlinePlatform {
   OnlinePlatform(Slot::rep_type num_slots, Money default_task_value,
                  auction::OnlineGreedyConfig config = {});
 
-  [[nodiscard]] Slot current_slot() const { return Slot{current_slot_}; }
-  [[nodiscard]] bool finished() const { return current_slot_ > num_slots_; }
+  [[nodiscard]] Slot current_slot() const { return Slot{round_.current_slot()}; }
+  [[nodiscard]] bool finished() const { return round_.finished(); }
 
   /// Announces a task arriving in the *current* slot. Ids must be dense and
   /// increasing across the round (the scenario convention).
@@ -66,46 +67,9 @@ class OnlinePlatform {
   [[nodiscard]] Money total_paid() const { return total_paid_; }
 
  private:
-  struct StoredBid {
-    AgentId agent{-1};
-    model::Bid bid{SlotInterval::of(1, 1), Money{}};
-    bool allocated{false};
-    Slot win_slot{0};
-  };
-
-  struct StoredTask {
-    TaskId id{-1};
-    Slot slot{0};
-    Money value;
-  };
-
-  /// Replays the greedy allocation over the stored history up to
-  /// `last_slot`, pretending `excluded` never bid. Returns, per slot,
-  /// the highest winning claimed cost (or nullopt for no winners) and the
-  /// scarcity cap contribution of unserved tasks. Shared-prefix: slots
-  /// before the excluded agent's submission are inherited from the
-  /// recorded history (entries stay empty), not replayed -- callers read
-  /// from the winner's win slot, which is never earlier.
-  struct ReplaySlot {
-    std::optional<Money> dearest_winner;
-    std::optional<Money> scarce_cap;
-  };
-  [[nodiscard]] std::vector<ReplaySlot> replay_without(
-      AgentId excluded, Slot::rep_type last_slot) const;
-
-  [[nodiscard]] Money payment_for(const StoredBid& winner) const;
-  [[nodiscard]] Money scarce_cap_for(Money task_value) const;
-
-  Slot::rep_type num_slots_;
-  Slot::rep_type current_slot_{1};
+  auction::GreedyRound round_;
   Money default_task_value_;
-  auction::OnlineGreedyConfig config_;
-
-  std::vector<StoredBid> bids_;     // every admitted bid, by submission order
-  std::vector<StoredTask> tasks_;   // every announced task
-  std::size_t first_task_of_slot_{0};  // tasks_ index where this slot begins
   Money total_paid_;
-  int last_task_id_{-1};
 };
 
 }  // namespace mcs::platform

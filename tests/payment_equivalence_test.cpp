@@ -1,22 +1,20 @@
-// Equivalence suite for the shared-prefix counterfactual engine.
+// Equivalence suite for Algorithm 2 on the GreedyRound kernel.
 //
-// The engine's claim is exactness, not approximation: forking Algorithm
-// 2's counterfactuals from the factual per-slot checkpoints must produce
-// *Money-equal* payments to re-running Algorithm 1 from slot 1 (the
-// kFullReplay oracle), on every configuration corner -- reserve prices,
-// profitable-only allocation, weighted tasks, supply scarcity -- and the
-// parallel per-winner fan-out must be invisible: identical payments and
-// identical merged telemetry at every thread count.
+// The kernel's claim is exactness, not approximation: forking each
+// counterfactual at the winner's reported arrival must produce
+// *Money-equal* payments to re-running Algorithm 1 from slot 1 without the
+// winner (the tests-side reference oracle, support/reference_greedy), on
+// every configuration corner -- reserve prices, profitable-only
+// allocation, weighted tasks, supply scarcity -- and the probe forks must
+// agree with full re-runs too.
 #include "auction/counterfactual.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "auction/critical_value.hpp"
@@ -25,87 +23,34 @@
 #include "model/paper_examples.hpp"
 #include "model/strategy.hpp"
 #include "obs/metrics.hpp"
+#include "platform/round_driver.hpp"
 #include "support/generators.hpp"
+#include "support/reference_greedy.hpp"
 
 namespace mcs::auction {
 namespace {
 
 using model::Scenario;
+using test_support::config_families;
 
-OnlineGreedyConfig with_engine(OnlineGreedyConfig config,
-                               OnlineGreedyConfig::PaymentEngine engine) {
-  config.payment_engine = engine;
-  return config;
-}
-
-/// Every configuration corner the payment derivation branches on.
-std::vector<std::pair<std::string, OnlineGreedyConfig>> config_families() {
-  std::vector<std::pair<std::string, OnlineGreedyConfig>> families;
-  families.emplace_back("paper_default", OnlineGreedyConfig{});
-
-  OnlineGreedyConfig reserve;
-  reserve.reserve_price = Money::from_units(20);
-  families.emplace_back("reserve_20", reserve);
-
-  OnlineGreedyConfig profitable;
-  profitable.allocate_only_profitable = true;
-  families.emplace_back("profitable_only", profitable);
-
-  OnlineGreedyConfig own_bid;
-  own_bid.scarce_payment = OnlineGreedyConfig::ScarcePayment::kOwnBid;
-  families.emplace_back("scarce_own_bid", own_bid);
-
-  OnlineGreedyConfig both;
-  both.allocate_only_profitable = true;
-  both.reserve_price = Money::from_units(25);
-  families.emplace_back("reserve_and_profitable", both);
-  return families;
-}
-
-/// Weighted-query extension: per-task values around the cost range, so
-/// profitable-only decisions and scarce caps differ task by task.
-Scenario weighted_tasks(Rng& rng) {
-  const Slot::rep_type slots = 6;
-  model::ScenarioBuilder builder(slots);
-  builder.value(30);
-  const int phones = static_cast<int>(rng.uniform_int(2, 9));
-  for (int i = 0; i < phones; ++i) {
-    const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, slots));
-    const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, slots));
-    builder.phone(a, d, rng.uniform_int(1, 40));
-  }
-  const int tasks = static_cast<int>(rng.uniform_int(1, 7));
-  for (int k = 0; k < tasks; ++k) {
-    builder.valued_task(static_cast<Slot::rep_type>(rng.uniform_int(1, slots)),
-                        rng.uniform_int(1, 80));
-  }
-  return builder.build();
-}
-
-/// Core oracle: the shared-prefix run of `config` must equal the
-/// full-replay run outcome-for-outcome, payment-for-payment.
+/// Core oracle: the kernel-backed mechanism under `config` must equal the
+/// full-replay reference outcome-for-outcome, payment-for-payment.
 void expect_engines_agree(const Scenario& scenario,
                           const model::BidProfile& bids,
                           const OnlineGreedyConfig& config,
                           const std::string& label) {
-  const OnlineGreedyMechanism fast(
-      with_engine(config, OnlineGreedyConfig::PaymentEngine::kSharedPrefix));
-  const OnlineGreedyMechanism naive(
-      with_engine(config, OnlineGreedyConfig::PaymentEngine::kFullReplay));
-  const Outcome a = fast.run(scenario, bids);
-  const Outcome b = naive.run(scenario, bids);
+  test_support::expect_matches_reference(
+      OnlineGreedyMechanism(config).run(scenario, bids),
+      test_support::reference_online_greedy(scenario, bids, config), label);
+}
 
-  ASSERT_EQ(a.payments.size(), b.payments.size()) << label;
-  for (std::size_t i = 0; i < a.payments.size(); ++i) {
-    EXPECT_EQ(a.payments[i], b.payments[i])
-        << label << ": phone " << i << " fast=" << a.payments[i]
-        << " naive=" << b.payments[i];
-  }
-  for (int k = 0; k < scenario.task_count(); ++k) {
-    EXPECT_EQ(a.allocation.phone_for(TaskId{k}),
-              b.allocation.phone_for(TaskId{k}))
-        << label << ": task " << k;
-  }
+/// Does `phone` win under the reference Algorithm 1?
+bool reference_wins(const Scenario& scenario, const model::BidProfile& bids,
+                    PhoneId phone, const OnlineGreedyConfig& config) {
+  const std::vector<int> winners =
+      test_support::reference_allocation(scenario, bids, config).task_winner;
+  return std::find(winners.begin(), winners.end(), phone.value()) !=
+         winners.end();
 }
 
 // ------------------------------------------------ fast == naive property
@@ -130,7 +75,7 @@ TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayOnWeightedTasks) {
   Rng rng(424242);
   for (const auto& [name, config] : config_families()) {
     for (int i = 0; i < 8; ++i) {
-      const Scenario scenario = weighted_tasks(rng);
+      const Scenario scenario = test_support::weighted_tasks(rng);
       expect_engines_agree(scenario, scenario.truthful_bids(), config,
                            name + "/weighted#" + std::to_string(i));
     }
@@ -155,30 +100,34 @@ TEST(PaymentEquivalence, Fig4WorkedExamplePaysTheSameOnBothEngines) {
 // -------------------------------------------- probe-level equivalence
 
 TEST(PaymentEquivalence, WinsWithCostMatchesFullRerunOnRandomProbes) {
+  // Reserve-rejected phones probed below the reserve are included: the
+  // factual run never admitted them, so the fork must still be exact.
   Rng rng(777);
-  for (int i = 0; i < 40; ++i) {
-    const Scenario scenario = test_support::windowed(rng);
-    const model::BidProfile bids = scenario.truthful_bids();
-    const OnlineGreedyConfig config;
-    const CounterfactualEngine engine(scenario, bids, config);
-    for (int p = 0; p < scenario.phone_count(); ++p) {
-      const PhoneId phone{p};
-      for (int probe = 0; probe < 4; ++probe) {
-        const Money cost = Money::from_micros(rng.uniform_int(0, 45'000'000));
-        const model::BidProfile probed = model::with_bid(
-            bids, phone,
-            model::Bid{bids[static_cast<std::size_t>(p)].window, cost});
-        const GreedyRun full = run_greedy_allocation(scenario, probed, config);
-        EXPECT_EQ(engine.wins_with_cost(phone, cost),
-                  full.allocation.is_winner(phone))
-            << "scenario#" << i << " phone " << p << " cost " << cost;
+  for (const auto& [name, config] : config_families()) {
+    for (int i = 0; i < 12; ++i) {
+      const Scenario scenario = test_support::windowed(rng);
+      const model::BidProfile bids = scenario.truthful_bids();
+      const CounterfactualEngine engine(scenario, bids, config);
+      for (int p = 0; p < scenario.phone_count(); ++p) {
+        const PhoneId phone{p};
+        for (int probe = 0; probe < 4; ++probe) {
+          const Money cost =
+              Money::from_micros(rng.uniform_int(0, 45'000'000));
+          const model::BidProfile probed = model::with_bid(
+              bids, phone,
+              model::Bid{bids[static_cast<std::size_t>(p)].window, cost});
+          EXPECT_EQ(engine.wins_with_cost(phone, cost),
+                    reference_wins(scenario, probed, phone, config))
+              << name << " scenario#" << i << " phone " << p << " cost "
+              << cost;
+        }
       }
     }
   }
 }
 
-/// The pre-engine bisection predicate: a full Algorithm-1 re-run per
-/// probe. Kept in-test as the independent oracle for the engine-backed
+/// The pre-engine bisection predicate: a full reference Algorithm-1
+/// re-run per probe -- the independent oracle for the engine-backed
 /// greedy_critical_value.
 std::optional<Money> full_rerun_critical_value(const Scenario& scenario,
                                                const model::BidProfile& bids,
@@ -198,8 +147,7 @@ std::optional<Money> full_rerun_critical_value(const Scenario& scenario,
   const WinsWithCost wins = [&](Money cost) {
     const model::BidProfile probe =
         model::with_bid(bids, phone, model::Bid{own.window, cost});
-    return run_greedy_allocation(scenario, probe, config)
-        .allocation.is_winner(phone);
+    return reference_wins(scenario, probe, phone, config);
   };
   return bisect_critical_value(wins, upper_bound, 1, phone.value());
 }
@@ -276,71 +224,14 @@ TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
                               "phones that cannot win at any claim";
 }
 
-// ------------------------------------------- parallel fan-out determinism
-
-TEST(PaymentEquivalence, ParallelPaymentsAreDeterministicAcrossThreadCounts) {
-  // simulate_parallel-style contract: worker-local registries merged in
-  // worker order make the fan-out invisible -- payments AND merged
-  // counters identical at 1, 2, and 8 threads.
-  Rng rng(5150);
-  const test_support::GeneratorLimits big{.slots = 12,
-                                          .max_phones = 24,
-                                          .max_tasks = 16,
-                                          .max_cost_units = 60,
-                                          .value_units = 80};
-  for (int i = 0; i < 6; ++i) {
-    const Scenario scenario = test_support::windowed(rng, big);
-    const model::BidProfile bids = scenario.truthful_bids();
-
-    std::optional<Outcome> reference;
-    std::optional<std::map<std::string, std::int64_t>> reference_counters;
-    for (const int threads : {1, 2, 8}) {
-      OnlineGreedyConfig config;
-      config.payment_threads = threads;
-      const OnlineGreedyMechanism mechanism(config);
-
-      obs::MetricsRegistry registry;
-      std::optional<Outcome> outcome;
-      {
-        const obs::ScopedRegistry guard(&registry);
-        outcome = mechanism.run(scenario, bids);
-      }
-      const obs::MetricsSnapshot snapshot = registry.snapshot();
-      std::map<std::string, std::int64_t> counters;
-      for (const auto& [name, value] : snapshot.counters) {
-        if (name.rfind("span.", 0) != 0) counters[name] = value;
-      }
-
-      if (!reference) {
-        reference = outcome;
-        reference_counters = counters;
-        continue;
-      }
-      EXPECT_EQ(outcome->payments, reference->payments)
-          << "scenario#" << i << " threads=" << threads;
-      EXPECT_EQ(counters, *reference_counters)
-          << "scenario#" << i << " threads=" << threads;
-    }
-  }
-}
-
-TEST(PaymentEquivalence, HardwareConcurrencyFanOutMatchesSerial) {
-  const Scenario scenario = model::fig4_scenario();
-  OnlineGreedyConfig config;
-  config.payment_threads = 0;  // hardware concurrency
-  const OnlineGreedyMechanism parallel(config);
-  const OnlineGreedyMechanism serial;
-  EXPECT_EQ(parallel.run(scenario, scenario.truthful_bids()).payments,
-            serial.run(scenario, scenario.truthful_bids()).payments);
-}
-
 // ----------------------------------------------------- counter contract
 
 TEST(PaymentEquivalence, SharedPrefixReplacesFullRunsWithForks) {
-  // The whole point: counterfactual work stops being counted as full
-  // allocation runs. The fast path performs exactly one Algorithm-1 pass
-  // (the factual one) per run() and a fork per winner, while the oracle
-  // path still re-runs per winner; forks skip the pre-arrival prefix.
+  // Counterfactual work is never counted as full allocation runs: a
+  // round performs exactly one Algorithm-1 pass (the factual one) and one
+  // fork per winner, and the forks skip the pre-arrival prefix. The batch
+  // mechanism and the streaming round driver share the kernel, so both
+  // report the same accounting.
   const Scenario scenario = model::fig4_scenario();
   const model::BidProfile bids = scenario.truthful_bids();
   const auto winners =
@@ -349,26 +240,29 @@ TEST(PaymentEquivalence, SharedPrefixReplacesFullRunsWithForks) {
                                     .allocation.winners()
                                     .size());
 
-  obs::MetricsRegistry fast_registry;
+  obs::MetricsRegistry batch_registry;
   {
-    const obs::ScopedRegistry guard(&fast_registry);
+    const obs::ScopedRegistry guard(&batch_registry);
     (void)OnlineGreedyMechanism().run(scenario, bids);
   }
-  const obs::MetricsSnapshot fast = fast_registry.snapshot();
-  EXPECT_EQ(fast.counters.at("auction.greedy.allocation_runs"), 1);
-  EXPECT_EQ(fast.counters.at("auction.counterfactual.payment_forks"), winners);
-  EXPECT_GT(fast.counters.at("auction.counterfactual.slots_skipped"), 0);
-
-  obs::MetricsRegistry naive_registry;
+  obs::MetricsRegistry streaming_registry;
   {
-    const obs::ScopedRegistry guard(&naive_registry);
-    const OnlineGreedyMechanism oracle(with_engine(
-        OnlineGreedyConfig{}, OnlineGreedyConfig::PaymentEngine::kFullReplay));
-    (void)oracle.run(scenario, bids);
+    const obs::ScopedRegistry guard(&streaming_registry);
+    (void)platform::run_round(scenario, bids);
   }
-  const obs::MetricsSnapshot naive = naive_registry.snapshot();
-  EXPECT_EQ(naive.counters.at("auction.greedy.allocation_runs"), 1 + winners);
-  EXPECT_EQ(naive.counters.count("auction.counterfactual.payment_forks"), 0u);
+  for (const obs::MetricsRegistry* registry :
+       {&batch_registry, &streaming_registry}) {
+    const obs::MetricsSnapshot snap = registry->snapshot();
+    EXPECT_EQ(snap.counters.at("auction.greedy.allocation_runs"), 1);
+    EXPECT_EQ(snap.counters.at("auction.counterfactual.payment_forks"),
+              winners);
+    EXPECT_EQ(snap.counters.at("auction.critical_value.probes"), winners);
+    EXPECT_GT(snap.counters.at("auction.counterfactual.slots_skipped"), 0);
+  }
+  EXPECT_EQ(batch_registry.snapshot().counters.at(
+                "auction.counterfactual.slots_replayed"),
+            streaming_registry.snapshot().counters.at(
+                "auction.counterfactual.slots_replayed"));
 }
 
 }  // namespace
