@@ -1,7 +1,7 @@
 // Algorithm-2 payment microbenches on the GreedyRound kernel: the batch
-// mechanism (payments after the round), the streaming round driver
-// (payments settled at each winner's reported departure), and the
-// critical-value bisection built on probe forks.
+// mechanism (payments after the round), the serve RoundMachine fed the
+// round's event stream (payments settled at each winner's reported
+// departure), and the critical-value bisection built on probe forks.
 //
 // The pinned counter pass (telemetry_main) makes the work counters the
 // story: one auction.greedy.allocation_runs per round, one
@@ -9,12 +9,16 @@
 // share that is exactly the prefix each fork does not re-run.
 #include <benchmark/benchmark.h>
 
+#include <cstddef>
+#include <vector>
+
 #include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
 #include "auction/online_greedy.hpp"
 #include "common/rng.hpp"
 #include "model/workload.hpp"
-#include "platform/round_driver.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/round_machine.hpp"
 #include "telemetry_main.hpp"
 
 namespace {
@@ -42,12 +46,18 @@ void BM_Payments_Batch(benchmark::State& state) {
 BENCHMARK(BM_Payments_Batch)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(200);
 
 void BM_Payments_Streaming(benchmark::State& state) {
-  // The same rounds through the slot-by-slot platform the serve path runs.
+  // The same rounds streamed through the RoundMachine a serve shard runs;
+  // the event stream is built once, outside the timed loop.
   const model::Scenario s =
       scaled_scenario(static_cast<int>(state.range(0)), 7);
-  const model::BidProfile bids = s.truthful_bids();
+  const std::vector<serve::ServeEvent> events =
+      serve::round_events(0, s, s.truthful_bids());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(platform::run_round(s, bids));
+    serve::RoundMachine machine(events.front(), {});
+    for (std::size_t k = 1; k < events.size(); ++k) {
+      (void)machine.apply(events[k]);
+    }
+    benchmark::DoNotOptimize(machine.take_outcome());
   }
 }
 BENCHMARK(BM_Payments_Streaming)->Arg(10)->Arg(20)->Arg(40)->Arg(80)->Arg(200);

@@ -350,8 +350,6 @@ std::string explain_phone(std::istream& events_jsonl, int phone) {
             << " applied";
       }
       out << " (own bid " << attr_or(record, "own_bid", "?") << ")\n";
-    } else if (type == "phone_departed_unpaid") {
-      out << "slot " << slot << ": departed without an allocation (paid 0)\n";
     }
   }
 

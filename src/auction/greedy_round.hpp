@@ -2,8 +2,8 @@
 // Algorithm 1's per-slot greedy step and Algorithm 2's critical-value
 // payment. Every caller runs on it -- the batch mechanism
 // (run_greedy_allocation, OnlineGreedyMechanism), the critical-value
-// probes (CounterfactualEngine), and the deployable platform
-// (platform::OnlinePlatform, hence the serve path).
+// probes (CounterfactualEngine), and the serve path's per-round
+// serve::RoundMachine, which owns one GreedyRound per streamed round.
 //
 // A GreedyRound learns its round slot by slot. Tasks and bids of the
 // current slot are admitted (the reserve check happens at the door), then
@@ -11,7 +11,8 @@
 // unallocated bids ordered by (claimed cost, phone id) -- and records each
 // winner's win slot. A batch caller admits the whole scenario up front and
 // advances to the horizon; a streaming caller interleaves admissions with
-// advance() and settles each winner at its reported departure.
+// advance() and settles each winner at its reported departure: after
+// advance() closes slot t, every departing(t) winner is paid payment().
 //
 // Algorithm 2 needs, per winner i, the run without B_i over [t'_i, d~_i].
 // That run equals the factual one before i's reported arrival a~_i (B_i

@@ -53,6 +53,9 @@ struct OnlineGreedyConfig {
     kOwnBid,      ///< pay only the claimed cost for such slots
   };
   ScarcePayment scarce_payment = ScarcePayment::kCapAtValue;
+
+  friend bool operator==(const OnlineGreedyConfig&,
+                         const OnlineGreedyConfig&) = default;
 };
 
 /// Per-slot record of one greedy run (introspection for tests, examples,

@@ -121,7 +121,9 @@ LatencySketchSnapshot LatencySketchSnapshot::delta_since(
   delta.sum_ns = sum_ns - earlier.sum_ns;
   // A window's true extrema are not recoverable from cumulative extrema;
   // the occupied bucket edges bound them within the sketch's resolution.
-  if (delta.count > 0) {
+  // A snapshot racing record_ns can count a sample whose bucket it missed,
+  // so a nonzero count does not imply an occupied bucket.
+  if (highest > 0) {
     delta.min_ns = sketch_detail::bucket_lower_edge(lowest);
     delta.max_ns = sketch_detail::bucket_upper_edge(highest - 1);
   }

@@ -78,7 +78,7 @@ struct EconTelemetryConfig {
 
   /// Mechanism knobs the counterfactual probes replay under; must match
   /// the engine's ServeConfig::greedy for the payment == critical-value
-  /// check to be meaningful.
+  /// check to be meaningful (ServeConfig::validate rejects a mismatch).
   auction::OnlineGreedyConfig greedy;
 
   /// Destination for "econ_violation" records (non-owning; must be

@@ -41,6 +41,13 @@ void ServeConfig::validate() const {
     throw InvalidArgumentError(
         "serve: batch_size must be in [1, queue_capacity]");
   }
+  // The sentinel checks payment == critical value by re-running the
+  // mechanism under the econ plane's knobs; other knobs audit a different
+  // mechanism than the one serving.
+  if (econ != nullptr && econ->config().greedy != greedy) {
+    throw InvalidArgumentError(
+        "serve: the econ plane's greedy config must match the engine's");
+  }
 }
 
 std::string_view to_string(SubmitStatus status) {
@@ -162,8 +169,7 @@ void ServeEngine::worker_main(Shard& shard) {
 
   LiveTelemetry* const live = config_.live;
   TracePlane* const trace = config_.trace;
-  std::unordered_map<std::int64_t, RoundMachine> machines;
-  std::unordered_map<std::int64_t, std::uint64_t> open_ns;  // live plane
+  OpenRounds rounds;
   // Consumer-side batching mirrors the producer side: up to kPopBatch
   // events leave the ring under one lock. The buffer is reused across
   // iterations, so the steady-state loop performs no allocation.
@@ -190,8 +196,7 @@ void ServeEngine::worker_main(Shard& shard) {
       }
       if (!shard.error.empty()) continue;  // poisoned: drain without work
       try {
-        process_event(shard, machines, open_ns, popped.event, now,
-                      popped.enqueue_ns);
+        process_event(shard, rounds, popped.event, now, popped.enqueue_ns);
       } catch (const Error& e) {
         if (config_.admission == ServeConfig::Admission::kReject) {
           // Shedding already made the stream lossy; a hole in one round's
@@ -200,8 +205,7 @@ void ServeEngine::worker_main(Shard& shard) {
             trace->on_round_corrupted(shard.index, popped.event.round,
                                       stamp_ns());
           }
-          machines.erase(popped.event.round);
-          open_ns.erase(popped.event.round);
+          rounds.erase(popped.event.round);
           ++shard.stats.rounds_corrupted;
           obs::count("serve.rounds_corrupted");
         } else {
@@ -212,11 +216,10 @@ void ServeEngine::worker_main(Shard& shard) {
     batch.clear();
   }
   if (trace != nullptr) trace->on_worker_exit(shard.index, stamp_ns());
-  shard.stats.rounds_abandoned +=
-      static_cast<std::int64_t>(machines.size());
-  if (!machines.empty()) {
+  shard.stats.rounds_abandoned += static_cast<std::int64_t>(rounds.size());
+  if (!rounds.empty()) {
     obs::count("serve.rounds_abandoned",
-               static_cast<std::int64_t>(machines.size()));
+               static_cast<std::int64_t>(rounds.size()));
   }
   shard.stats.queue_high_watermark = shard.queue.high_watermark();
   obs::set_gauge(
@@ -224,25 +227,24 @@ void ServeEngine::worker_main(Shard& shard) {
       static_cast<double>(shard.stats.queue_high_watermark));
 }
 
-void ServeEngine::process_event(
-    Shard& shard, std::unordered_map<std::int64_t, RoundMachine>& machines,
-    std::unordered_map<std::int64_t, std::uint64_t>& open_ns,
-    const ServeEvent& event, std::uint64_t now_ns, std::uint64_t enqueue_ns) {
+void ServeEngine::process_event(Shard& shard, OpenRounds& rounds,
+                                const ServeEvent& event, std::uint64_t now_ns,
+                                std::uint64_t enqueue_ns) {
   ++shard.stats.processed;
   obs::count(event_counter_name(event.kind));
   LiveTelemetry* const live = config_.live;
   TracePlane* const trace = config_.trace;
 
   if (event.kind == ServeEventKind::kRoundOpen) {
-    if (machines.contains(event.round)) {
+    if (rounds.contains(event.round)) {
       throw InvalidArgumentError("serve stream, round " +
                                  std::to_string(event.round) +
                                  ": duplicate round_open");
     }
-    machines.emplace(event.round,
-                     RoundMachine(event, config_.greedy,
-                                  /*capture=*/config_.econ != nullptr));
-    if (live != nullptr) open_ns[event.round] = now_ns;
+    rounds.emplace(event.round,
+                   OpenRound{RoundMachine(event, config_.greedy,
+                                          /*capture=*/config_.econ != nullptr),
+                             now_ns});
     if (trace != nullptr) {
       trace->on_round_open(shard.index, event.round, enqueue_ns, now_ns,
                            event.client_lag_ns);
@@ -250,8 +252,8 @@ void ServeEngine::process_event(
     return;
   }
 
-  const auto it = machines.find(event.round);
-  if (it == machines.end()) {
+  const auto it = rounds.find(event.round);
+  if (it == rounds.end()) {
     if (config_.admission == ServeConfig::Admission::kReject) {
       // The round's open (or the whole round) was shed; drop silently.
       ++shard.stats.orphaned_events;
@@ -265,14 +267,15 @@ void ServeEngine::process_event(
         "serve stream, round " + std::to_string(event.round) + ": " +
         std::string(to_string(event.kind)) + " for a round never opened");
   }
-  const bool done = it->second.apply(event);
+  RoundMachine& machine = it->second.machine;
+  const bool done = machine.apply(event);
   if (trace != nullptr && event.kind == ServeEventKind::kSlotTick) {
     trace->on_slot_tick(shard.index, event.round,
                         static_cast<std::int32_t>(event.slot.value()), now_ns,
                         stamp_ns());
   }
   if (done) {
-    RoundOutcome outcome = it->second.take_outcome();
+    RoundOutcome outcome = machine.take_outcome();
     // Econ sentinel: audit the closed round while its capture is still
     // alive. The shard registry is installed on this thread, so the one
     // sanctioned counter (econ.violations) lands in the deterministic
@@ -280,19 +283,14 @@ void ServeEngine::process_event(
     const std::uint64_t settled_ns = trace != nullptr ? stamp_ns() : 0;
     std::int64_t violations = 0;
     if (config_.econ != nullptr) {
-      violations = config_.econ->observe_round(shard.index, it->second,
-                                               outcome);
+      violations = config_.econ->observe_round(shard.index, machine, outcome);
     }
-    machines.erase(it);
     if (live != nullptr) {
-      const auto opened = open_ns.find(event.round);
-      if (opened != open_ns.end()) {
-        live->on_round_close(
-            shard.index,
-            now_ns >= opened->second ? now_ns - opened->second : 0);
-        open_ns.erase(opened);
-      }
+      const std::uint64_t open_ns = it->second.open_ns;
+      live->on_round_close(shard.index,
+                           now_ns >= open_ns ? now_ns - open_ns : 0);
     }
+    rounds.erase(it);
     if (trace != nullptr) {
       trace->on_round_complete(shard.index, event.round, now_ns, settled_ns,
                                stamp_ns(), violations);

@@ -185,10 +185,16 @@ class ServeEngine {
     std::string error;   ///< first stream error, empty = clean
   };
 
+  /// A shard's in-flight round: its machine and the (live-plane) stamp of
+  /// its round_open.
+  struct OpenRound {
+    RoundMachine machine;
+    std::uint64_t open_ns;
+  };
+  using OpenRounds = std::unordered_map<std::int64_t, OpenRound>;
+
   void worker_main(Shard& shard);
-  void process_event(Shard& shard,
-                     std::unordered_map<std::int64_t, RoundMachine>& machines,
-                     std::unordered_map<std::int64_t, std::uint64_t>& open_ns,
+  void process_event(Shard& shard, OpenRounds& rounds,
                      const ServeEvent& event, std::uint64_t now_ns,
                      std::uint64_t enqueue_ns);
   /// Wall-clock uptime stamp for the optional planes (live preferred so

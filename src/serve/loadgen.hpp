@@ -7,8 +7,7 @@
 // and compare against what the engine produced). The round's scenario and
 // truthful bids are then linearized into the canonical event order --
 // round_open, then per slot {task_arrived*, bid_submitted*, slot_tick},
-// then round_close -- which mirrors the protocol order the round driver
-// enforces.
+// then round_close -- the order RoundMachine enforces.
 #pragma once
 
 #include <cstdint>

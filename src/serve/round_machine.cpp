@@ -3,6 +3,7 @@
 #include <string>
 #include <utility>
 
+#include "common/assert.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
 
@@ -15,21 +16,44 @@ namespace {
                              ": " + what);
 }
 
+/// The round_open event, checked before the kernel is sized from it.
+const ServeEvent& checked_open(const ServeEvent& open) {
+  if (open.kind != ServeEventKind::kRoundOpen) {
+    stream_error(open.round, "round must start with round_open");
+  }
+  if (open.num_slots < 1) {
+    throw InvalidArgumentError("virtual clock requires a horizon >= 1");
+  }
+  if (open.round_value.is_negative()) {
+    stream_error(open.round, "task value must be >= 0");
+  }
+  return open;
+}
+
 }  // namespace
 
 RoundMachine::RoundMachine(const ServeEvent& open,
                            auction::OnlineGreedyConfig config, bool capture)
     : round_(open.round),
-      clock_(open.num_slots),
-      platform_(open.num_slots, open.round_value, config),
+      auction_(checked_open(open).num_slots, config),
       capture_(capture),
-      num_slots_(open.num_slots),
       round_value_(open.round_value) {
-  if (open.kind != ServeEventKind::kRoundOpen) {
-    stream_error(open.round, "round must start with round_open");
-  }
   outcome_.round = round_;
   outcome_.events_consumed = 1;  // the round_open itself
+}
+
+void RoundMachine::expect_now(Slot slot) const {
+  // The stream carries time as slot_tick events, never wall time, so a
+  // replay always interleaves arrivals and slot closures the same way.
+  if (auction_.finished()) {
+    throw InvalidArgumentError("event after the round's last slot_tick");
+  }
+  if (slot.value() != auction_.current_slot()) {
+    throw InvalidArgumentError(
+        "event names slot " + std::to_string(slot.value()) +
+        " but the virtual clock is inside slot " +
+        std::to_string(auction_.current_slot()));
+  }
 }
 
 bool RoundMachine::apply(const ServeEvent& event) {
@@ -44,8 +68,11 @@ bool RoundMachine::apply(const ServeEvent& event) {
       stream_error(round_, "duplicate round_open");
 
     case ServeEventKind::kTaskArrived:
-      clock_.expect_now(event.slot);
-      platform_.announce_task(event.task, event.task_value);
+      expect_now(event.slot);
+      if (event.task.value() != auction_.task_count()) {
+        stream_error(round_, "task ids must be dense and increasing");
+      }
+      auction_.announce_task(event.task_value.value_or(round_value_));
       ++outcome_.tasks_announced;
       if (capture_) {
         captured_tasks_.push_back(
@@ -54,8 +81,8 @@ bool RoundMachine::apply(const ServeEvent& event) {
       return false;
 
     case ServeEventKind::kBidSubmitted: {
-      clock_.expect_now(event.window.begin());
-      if (event.window.end().value() > clock_.horizon()) {
+      expect_now(event.window.begin());
+      if (event.window.end().value() > auction_.horizon()) {
         stream_error(round_, "bid window extends past the round horizon");
       }
       const auto index = static_cast<std::size_t>(event.agent.value());
@@ -69,7 +96,7 @@ bool RoundMachine::apply(const ServeEvent& event) {
         if (index >= captured_bids_.size()) captured_bids_.resize(index + 1);
         captured_bids_[index] = bid_of(event);
       }
-      if (platform_.submit_bid(event.agent, bid_of(event))) {
+      if (auction_.submit_bid(event.agent, bid_of(event))) {
         ++outcome_.bids_admitted;
       } else {
         ++outcome_.bids_rejected;  // platform reserve said no
@@ -78,24 +105,28 @@ bool RoundMachine::apply(const ServeEvent& event) {
     }
 
     case ServeEventKind::kSlotTick: {
-      clock_.tick(event.slot);
-      const platform::SlotReport report = platform_.advance_slot();
-      for (const auto& assignment : report.assignments) {
-        assignments_.push_back(assignment);
+      expect_now(event.slot);
+      for (const auto& [task, bid] : auction_.advance().assigned) {
+        assignments_.emplace_back(task, PhoneId{bid.phone});
       }
-      for (const auto& payment : report.payments) {
-        payments_.push_back(payment);
+      // A winner's critical value is settled by its reported departure,
+      // so it is paid now.
+      for (const auto& [agent, won] : auction_.departing(event.slot.value())) {
+        if (!won) continue;
+        const auction::GreedyPayment payment = auction_.payment(agent);
+        payment.log(event.slot);
+        payments_.emplace_back(agent, payment.amount);
       }
       return false;
     }
 
     case ServeEventKind::kRoundClose: {
-      if (!clock_.finished()) {
+      if (!auction_.finished()) {
         stream_error(round_, "round_close before the last slot_tick");
       }
       // Materialize the batch-comparable outcome. Agent ids are dense per
       // the scenario convention, so the bid events seen fix the phone
-      // count; task ids were validated dense by the platform.
+      // count; task ids were checked dense on arrival.
       const int phone_count = static_cast<int>(agent_bid_.size());
       const int task_count = static_cast<int>(outcome_.tasks_announced);
       outcome_.outcome.allocation = auction::Allocation(task_count, phone_count);
@@ -134,7 +165,7 @@ CapturedRound RoundMachine::take_captured() {
   MCS_EXPECTS(capture_complete(),
               "take_captured requires a closed, fully-captured round");
   CapturedRound captured;
-  captured.scenario.num_slots = num_slots_;
+  captured.scenario.num_slots = auction_.horizon();
   captured.scenario.task_value = round_value_;
   captured.scenario.tasks = std::move(captured_tasks_);
   captured.scenario.phones.reserve(captured_bids_.size());

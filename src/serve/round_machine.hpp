@@ -1,33 +1,37 @@
 // Per-round state machine of the streaming engine.
 //
 // A RoundMachine owns one in-flight auction round: it is created by the
-// round_open event and then fed that round's stream in order, translating
-// events into platform::OnlinePlatform calls -- task_arrived becomes
-// announce_task, bid_submitted becomes submit_bid, slot_tick becomes
-// advance_slot. The machine accumulates the assignments and
-// departure-slot payments the platform reports and materializes them as a
-// batch-comparable auction::Outcome at round_close. Because OnlinePlatform
-// is the same state machine the round driver drives, a replayed event
-// stream reproduces the batch OnlineGreedyMechanism outcome byte for byte
-// (the streaming/batch equivalence oracle pins this).
+// round_open event and then fed that round's stream in order, driving the
+// round's auction::GreedyRound directly -- task_arrived becomes
+// announce_task, bid_submitted becomes submit_bid, and slot_tick runs the
+// Algorithm-1 step (advance) and then pays every winner whose reported
+// departure is that slot its Algorithm-2 critical value, logging the
+// payment_derivation record stamped with the departure slot (Section V-C:
+// the payment is determined exactly then). The machine accumulates the
+// assignments and payments and materializes them as a batch-comparable
+// auction::Outcome at round_close. Because the batch
+// OnlineGreedyMechanism runs the same kernel, a replayed event stream
+// reproduces its outcome byte for byte (the streaming/batch equivalence
+// oracle pins this).
 //
 // The machine is strict about stream well-formedness (untrusted input):
-// events must carry the clock's current slot, every slot must be ticked
-// before round_close, agents may bid once, and ids must be dense.
-// Violations throw InvalidArgumentError / ContractViolation; the engine
-// surfaces them as stream errors.
+// events must carry the round's current slot, every slot must be ticked
+// in order before round_close, nothing may follow the last tick, bid
+// windows must stay inside the horizon, agents may bid once, task ids
+// must be dense, and the round's task value must be nonnegative.
+// Violations throw InvalidArgumentError before the kernel sees the event;
+// the engine surfaces them as stream errors.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <vector>
 
+#include "auction/greedy_round.hpp"
 #include "auction/online_greedy.hpp"
 #include "auction/outcome.hpp"
 #include "common/money.hpp"
 #include "model/scenario.hpp"
-#include "platform/platform.hpp"
-#include "serve/clock.hpp"
 #include "serve/event.hpp"
 
 namespace mcs::serve {
@@ -81,16 +85,17 @@ class RoundMachine {
   [[nodiscard]] CapturedRound take_captured();
 
  private:
+  /// Throws unless `slot` is the slot the round is currently inside.
+  void expect_now(Slot slot) const;
+
   std::int64_t round_;
-  VirtualClock clock_;
-  platform::OnlinePlatform platform_;
+  auction::GreedyRound auction_;  ///< owns the round's slot counter
   bool done_{false};
   bool capture_{false};
-  Slot::rep_type num_slots_{0};
   Money round_value_;
 
-  std::vector<std::pair<TaskId, platform::AgentId>> assignments_;
-  std::vector<std::pair<platform::AgentId, Money>> payments_;
+  std::vector<std::pair<TaskId, PhoneId>> assignments_;
+  std::vector<std::pair<PhoneId, Money>> payments_;  ///< in payment order
   std::vector<bool> agent_bid_;  ///< index = agent id; true once it bid
   std::vector<model::Task> captured_tasks_;
   std::vector<std::optional<model::Bid>> captured_bids_;

@@ -183,6 +183,19 @@ TEST(LatencySketch, DeltaSinceIsolatesTheWindow) {
   EXPECT_GE(delta.max_ns, 2'000u);
 }
 
+TEST(LatencySketch, DeltaOfATornSnapshotHasNoBucketExtrema) {
+  // snapshot() reads the buckets before the count, so a concurrent
+  // record_ns can land in the count alone.
+  const LatencySketchSnapshot earlier = sketch_of({50});
+  LatencySketchSnapshot later = earlier;
+  ++later.count;
+  const LatencySketchSnapshot delta = later.delta_since(earlier);
+  EXPECT_EQ(delta.count, 1u);
+  EXPECT_TRUE(delta.counts.empty());
+  EXPECT_EQ(delta.min_ns, 0u);
+  EXPECT_EQ(delta.max_ns, 0u);
+}
+
 TEST(LatencySketch, DeltaOfIdenticalSnapshotsIsEmpty) {
   const LatencySketchSnapshot snap = sketch_of({50, 60});
   const LatencySketchSnapshot delta = snap.delta_since(snap);

@@ -23,9 +23,9 @@
 #include "model/paper_examples.hpp"
 #include "model/strategy.hpp"
 #include "obs/metrics.hpp"
-#include "platform/round_driver.hpp"
 #include "support/generators.hpp"
 #include "support/reference_greedy.hpp"
+#include "support/streaming.hpp"
 
 namespace mcs::auction {
 namespace {
@@ -230,8 +230,8 @@ TEST(PaymentEquivalence, SharedPrefixReplacesFullRunsWithForks) {
   // Counterfactual work is never counted as full allocation runs: a
   // round performs exactly one Algorithm-1 pass (the factual one) and one
   // fork per winner, and the forks skip the pre-arrival prefix. The batch
-  // mechanism and the streaming round driver share the kernel, so both
-  // report the same accounting.
+  // mechanism and the serve RoundMachine share the kernel, so both report
+  // the same accounting.
   const Scenario scenario = model::fig4_scenario();
   const model::BidProfile bids = scenario.truthful_bids();
   const auto winners =
@@ -248,7 +248,7 @@ TEST(PaymentEquivalence, SharedPrefixReplacesFullRunsWithForks) {
   obs::MetricsRegistry streaming_registry;
   {
     const obs::ScopedRegistry guard(&streaming_registry);
-    (void)platform::run_round(scenario, bids);
+    (void)test_support::stream_round(scenario, bids);
   }
   for (const obs::MetricsRegistry* registry :
        {&batch_registry, &streaming_registry}) {

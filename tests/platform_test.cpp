@@ -1,194 +1,237 @@
-// Tests for the incremental platform: protocol-level behavior (message
-// ordering, payment timing at reported departure), and the headline
-// equivalence -- the slot-by-slot platform and the batch
-// OnlineGreedyMechanism must produce identical allocations and payments on
-// the same inputs, across config variants and randomized rounds.
-#include "platform/round_driver.hpp"
-
+// Tests for the deployable platform: a serve::RoundMachine fed one round's
+// event stream (serve::round_events). Protocol-level behavior -- payment
+// timing at reported departure, the stream checks on untrusted input --
+// and equivalence with the batch OnlineGreedyMechanism on weighted tasks
+// and misreports, plus the truthfulness audit run through the streaming
+// path itself.
 #include <gtest/gtest.h>
 
-#include <tuple>
+#include <algorithm>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "analysis/truthfulness.hpp"
 #include "auction/online_greedy.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
-#include "model/workload.hpp"
+#include "obs/event_log.hpp"
+#include "serve/event.hpp"
+#include "serve/loadgen.hpp"
+#include "serve/round_machine.hpp"
+#include "support/generators.hpp"
+#include "support/streaming.hpp"
 
-namespace mcs::platform {
+namespace mcs {
 namespace {
+
+using serve::RoundMachine;
+using test_support::stream_round;
 
 Money mu(std::int64_t units) { return Money::from_units(units); }
 
+model::Bid bid(Slot::rep_type from, Slot::rep_type to, std::int64_t cost) {
+  return model::Bid{SlotInterval::of(from, to), mu(cost)};
+}
+
 // -------------------------------------------------------------- protocol
 
-TEST(Platform, Fig4TranscriptHighlights) {
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
+/// One payment_derivation record, with the stream event whose apply()
+/// appended it.
+struct PaymentRecord {
+  PhoneId phone;
+  Slot stamped;
+  Money amount;
+  serve::ServeEvent during;
+};
 
-  // One announcement per task, one accepted bid per phone.
-  EXPECT_EQ(result.events_of(EventKind::kTaskAnnounced).size(), 5u);
-  EXPECT_EQ(result.events_of(EventKind::kBidSubmitted).size(), 7u);
-  // Five assignments, each followed by a sensing report.
-  EXPECT_EQ(result.events_of(EventKind::kTaskAssigned).size(), 5u);
-  EXPECT_EQ(result.events_of(EventKind::kSensingReported).size(), 5u);
-  // Five winners paid, two losers depart unpaid.
-  EXPECT_EQ(result.events_of(EventKind::kPaymentIssued).size(), 5u);
-  EXPECT_EQ(result.events_of(EventKind::kDeparted).size(), 2u);
-  EXPECT_TRUE(result.events_of(EventKind::kTaskUnserved).empty());
+struct StreamedPayments {
+  serve::RoundOutcome outcome;
+  std::vector<PaymentRecord> records;
+};
+
+/// Streams the truthful round event by event under a ring sink and checks
+/// that every winner has exactly one payment_derivation record, appended
+/// during the slot_tick of its reported departure and stamped with that
+/// slot, for the amount take_outcome() reports; losers have none.
+StreamedPayments expect_paid_at_departure(const model::Scenario& scenario,
+                                          const std::string& label) {
+  const model::BidProfile bids = scenario.truthful_bids();
+  const std::vector<serve::ServeEvent> stream =
+      serve::round_events(0, scenario, bids);
+  obs::RingEventSink ring(65536);
+  obs::EventLog log(&ring);
+  RoundMachine machine(stream.front(), {});
+  // before[k] = records appended before stream[k + 1] was applied.
+  std::vector<std::uint64_t> before;
+  {
+    const obs::ScopedEventLog install(&log);
+    for (std::size_t k = 1; k < stream.size(); ++k) {
+      before.push_back(ring.total_appended());
+      (void)machine.apply(stream[k]);
+    }
+  }
+  const std::vector<obs::Event> events = ring.events();
+  EXPECT_EQ(ring.total_appended(), events.size()) << label << ": overflow";
+  StreamedPayments out{machine.take_outcome(), {}};
+  const auction::Outcome& outcome = out.outcome.outcome;
+  std::vector<PaymentRecord>& records = out.records;
+  for (std::size_t j = 0; j < events.size(); ++j) {
+    const obs::Event& event = events[j];
+    if (event.type != "payment_derivation") continue;
+    const auto applied =
+        std::upper_bound(before.begin(), before.end(), j) - before.begin();
+    Money amount;
+    for (const auto& [key, value] : event.attrs) {
+      if (key == "payment") amount = std::get<Money>(value);
+    }
+    records.push_back(PaymentRecord{PhoneId{event.phone}, Slot{event.slot},
+                                    amount,
+                                    stream[static_cast<std::size_t>(applied)]});
+  }
+
+  std::vector<int> per_phone(bids.size(), 0);
+  for (const PaymentRecord& record : records) {
+    const auto phone = static_cast<std::size_t>(record.phone.value());
+    if (phone >= bids.size()) {
+      ADD_FAILURE() << label << ": record for unknown phone " << phone;
+      continue;
+    }
+    ++per_phone[phone];
+    const Slot departure = bids[phone].window.end();
+    EXPECT_EQ(record.during.kind, serve::ServeEventKind::kSlotTick) << label;
+    EXPECT_EQ(record.during.slot, departure) << label << " phone " << phone;
+    EXPECT_EQ(record.stamped, departure) << label << " phone " << phone;
+    EXPECT_EQ(record.amount, outcome.payments[phone])
+        << label << " phone " << phone;
+  }
+  for (int i = 0; i < scenario.phone_count(); ++i) {
+    const bool winner = outcome.allocation.is_winner(PhoneId{i});
+    EXPECT_EQ(per_phone[static_cast<std::size_t>(i)], winner ? 1 : 0)
+        << label << " phone " << i;
+  }
+  return out;
 }
 
 TEST(Platform, PaymentsLandInTheReportedDepartureSlot) {
   // Section V-C: "each smartphone receives its payment in its reported
   // departure slot."
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  for (const RoundEvent& event : result.events_of(EventKind::kPaymentIssued)) {
-    const model::TrueProfile& profile = s.phone(event.agent);
-    EXPECT_EQ(event.slot, profile.active.end()) << "phone " << event.agent;
-  }
+  const StreamedPayments fig4 =
+      expect_paid_at_departure(model::fig4_scenario(), "fig4");
+  const std::vector<PaymentRecord>& records = fig4.records;
+  EXPECT_EQ(records.size(), 5u);
   // Phone 0 (wins slot 2, departs slot 5) is the paper's worked example.
-  const auto payments = result.events_of(EventKind::kPaymentIssued);
-  bool found = false;
-  for (const RoundEvent& event : payments) {
-    if (event.agent == AgentId{0}) {
-      EXPECT_EQ(event.slot, Slot{5});
-      EXPECT_EQ(event.amount, mu(9));
-      found = true;
-    }
+  const auto phone0 =
+      std::find_if(records.begin(), records.end(), [](const PaymentRecord& r) {
+        return r.phone == PhoneId{0};
+      });
+  ASSERT_NE(phone0, records.end());
+  EXPECT_EQ(phone0->stamped, Slot{5});
+  EXPECT_EQ(phone0->amount, mu(9));
+}
+
+TEST(TranscriptAgreement, EveryPaymentIssuedHasADerivationRecord) {
+  // The payment_derivation records (payment rule) and the outcome
+  // take_outcome() reports are produced by different layers; they must
+  // agree on phone, departure slot and amount for every winner.
+  Rng rng(77);
+  for (int i = 0; i < 25; ++i) {
+    (void)expect_paid_at_departure(test_support::windowed(rng),
+                                   "windowed#" + std::to_string(i));
   }
-  EXPECT_TRUE(found);
+}
+
+TEST(Platform, TotalPaidAccumulates) {
+  const StreamedPayments fig4 =
+      expect_paid_at_departure(model::fig4_scenario(), "fig4");
+  Money total;
+  for (const PaymentRecord& record : fig4.records) total += record.amount;
+  EXPECT_EQ(fig4.outcome.total_paid, total);
+  EXPECT_EQ(total, mu(50));  // the hand-computed Fig. 4 total
 }
 
 TEST(Platform, BidSubmissionRules) {
-  OnlinePlatform platform(5, mu(20));
+  RoundMachine machine(serve::round_open(0, 5, mu(20)), {});
   // Arrival must match the current slot.
-  EXPECT_THROW(platform.submit_bid(
-                   AgentId{0}, model::Bid{SlotInterval::of(2, 4), mu(3)}),
-               ContractViolation);
-  EXPECT_TRUE(platform.submit_bid(
-      AgentId{0}, model::Bid{SlotInterval::of(1, 4), mu(3)}));
+  EXPECT_THROW(machine.apply(serve::bid_submitted(0, PhoneId{0}, bid(2, 4, 3))),
+               InvalidArgumentError);
+  // The window must end inside the round.
+  EXPECT_THROW(machine.apply(serve::bid_submitted(0, PhoneId{0}, bid(1, 6, 3))),
+               InvalidArgumentError);
+  EXPECT_FALSE(
+      machine.apply(serve::bid_submitted(0, PhoneId{0}, bid(1, 4, 3))));
   // One bid per agent per round.
-  EXPECT_THROW(platform.submit_bid(
-                   AgentId{0}, model::Bid{SlotInterval::of(1, 2), mu(5)}),
-               ContractViolation);
+  EXPECT_THROW(machine.apply(serve::bid_submitted(0, PhoneId{0}, bid(1, 2, 5))),
+               InvalidArgumentError);
+  for (Slot::rep_type t = 1; t <= 5; ++t) {
+    (void)machine.apply(serve::slot_tick(0, Slot{t}));
+  }
+  ASSERT_TRUE(machine.apply(serve::round_close(0)));
+  EXPECT_EQ(machine.take_outcome().bids_admitted, 1);
 }
 
 TEST(Platform, ReserveRejectsAtTheDoor) {
   auction::OnlineGreedyConfig config;
   config.reserve_price = mu(10);
-  OnlinePlatform platform(3, mu(20), config);
-  EXPECT_FALSE(platform.submit_bid(
-      AgentId{0}, model::Bid{SlotInterval::of(1, 3), mu(11)}));
-  EXPECT_TRUE(platform.submit_bid(
-      AgentId{1}, model::Bid{SlotInterval::of(1, 3), mu(10)}));
+  RoundMachine machine(serve::round_open(0, 3, mu(20)), config);
+  (void)machine.apply(serve::bid_submitted(0, PhoneId{0}, bid(1, 3, 11)));
+  (void)machine.apply(serve::bid_submitted(0, PhoneId{1}, bid(1, 3, 10)));
+  for (Slot::rep_type t = 1; t <= 3; ++t) {
+    (void)machine.apply(serve::slot_tick(0, Slot{t}));
+  }
+  ASSERT_TRUE(machine.apply(serve::round_close(0)));
+  const serve::RoundOutcome outcome = machine.take_outcome();
+  EXPECT_EQ(outcome.bids_rejected, 1);
+  EXPECT_EQ(outcome.bids_admitted, 1);
 }
 
 TEST(Platform, TaskIdsMustBeDense) {
-  OnlinePlatform platform(3, mu(20));
-  platform.announce_task(TaskId{0});
-  EXPECT_THROW(platform.announce_task(TaskId{2}), ContractViolation);
+  RoundMachine machine(serve::round_open(0, 3, mu(20)), {});
+  (void)machine.apply(serve::task_arrived(0, Slot{1}, TaskId{0}));
+  EXPECT_THROW(machine.apply(serve::task_arrived(0, Slot{1}, TaskId{2})),
+               InvalidArgumentError);
+  // A negative round value is refused before the round exists.
+  EXPECT_THROW((void)RoundMachine(serve::round_open(1, 3, mu(-1)), {}),
+               InvalidArgumentError);
 }
 
 TEST(Platform, FinishedRoundRejectsFurtherInput) {
-  OnlinePlatform platform(1, mu(20));
-  platform.advance_slot();
-  EXPECT_TRUE(platform.finished());
-  EXPECT_THROW(platform.announce_task(TaskId{0}), ContractViolation);
-  EXPECT_THROW(platform.advance_slot(), ContractViolation);
+  RoundMachine machine(serve::round_open(0, 1, mu(20)), {});
+  (void)machine.apply(serve::slot_tick(0, Slot{1}));
+  EXPECT_THROW(machine.apply(serve::task_arrived(0, Slot{1}, TaskId{0})),
+               InvalidArgumentError);
+  EXPECT_THROW(machine.apply(serve::slot_tick(0, Slot{2})),
+               InvalidArgumentError);
+  ASSERT_TRUE(machine.apply(serve::round_close(0)));
+  EXPECT_THROW(machine.apply(serve::round_close(0)), InvalidArgumentError);
 }
 
 TEST(Platform, UnservedTaskExpires) {
-  OnlinePlatform platform(2, mu(20));
-  platform.announce_task(TaskId{0});
-  const SlotReport report = platform.advance_slot();
-  ASSERT_EQ(report.unserved_tasks.size(), 1u);
-  EXPECT_EQ(report.unserved_tasks[0], TaskId{0});
-  EXPECT_TRUE(report.assignments.empty());
-}
-
-TEST(Platform, TotalPaidAccumulates) {
-  const model::Scenario s = model::fig4_scenario();
-  OnlinePlatform platform(5, s.task_value);
-  std::size_t cursor = 0;
-  Money total;
-  for (Slot::rep_type t = 1; t <= 5; ++t) {
-    while (cursor < s.tasks.size() && s.tasks[cursor].slot.value() == t) {
-      platform.announce_task(s.tasks[cursor].id);
-      ++cursor;
-    }
-    for (int i = 0; i < s.phone_count(); ++i) {
-      if (s.phone(PhoneId{i}).active.begin().value() == t) {
-        platform.submit_bid(AgentId{i},
-                            model::truthful_bid(s.phone(PhoneId{i})));
-      }
-    }
-    for (const auto& [agent, payment] : platform.advance_slot().payments) {
-      total += payment;
-    }
+  obs::RingEventSink ring(64);
+  obs::EventLog log(&ring);
+  RoundMachine machine(serve::round_open(0, 2, mu(20)), {});
+  {
+    const obs::ScopedEventLog install(&log);
+    (void)machine.apply(serve::task_arrived(0, Slot{1}, TaskId{0}));
+    (void)machine.apply(serve::slot_tick(0, Slot{1}));
+    (void)machine.apply(serve::slot_tick(0, Slot{2}));
   }
-  EXPECT_EQ(platform.total_paid(), total);
-  EXPECT_EQ(total, mu(50));  // the hand-computed Fig. 4 total
+  ASSERT_TRUE(machine.apply(serve::round_close(0)));
+  const serve::RoundOutcome outcome = machine.take_outcome();
+  EXPECT_EQ(outcome.tasks_announced, 1);
+  EXPECT_FALSE(outcome.outcome.allocation.phone_for(TaskId{0}).has_value());
+  const std::vector<obs::Event> events = ring.events();
+  const auto unserved =
+      std::find_if(events.begin(), events.end(), [](const obs::Event& e) {
+        return e.type == "task_unserved";
+      });
+  ASSERT_NE(unserved, events.end());
+  EXPECT_EQ(unserved->task, 0);
+  EXPECT_EQ(unserved->slot, 1);  // it expires in its arrival slot
 }
 
 // ------------------------------------------------------------ equivalence
-
-using EquivalenceParam = std::tuple<std::uint64_t, int>;  // (seed, config id)
-
-class PlatformEquivalence : public ::testing::TestWithParam<EquivalenceParam> {
- protected:
-  static auction::OnlineGreedyConfig config_for(int id) {
-    auction::OnlineGreedyConfig config;
-    switch (id) {
-      case 0:
-        break;  // paper-faithful
-      case 1:
-        config.allocate_only_profitable = true;
-        break;
-      case 2:
-        config.reserve_price = Money::from_units(20);
-        break;
-      default:
-        config.allocate_only_profitable = true;
-        config.reserve_price = Money::from_units(20);
-        config.scarce_payment =
-            auction::OnlineGreedyConfig::ScarcePayment::kOwnBid;
-    }
-    return config;
-  }
-};
-
-TEST_P(PlatformEquivalence, MatchesBatchMechanismExactly) {
-  const auto [seed, config_id] = GetParam();
-  const auction::OnlineGreedyConfig config = config_for(config_id);
-
-  Rng rng(seed);
-  model::WorkloadConfig workload;
-  workload.num_slots = 12;
-  workload.phone_arrival_rate = 3.0;
-  workload.task_arrival_rate = 2.0;
-  workload.mean_cost = 15.0;
-  workload.task_value = Money::from_units(30);
-  const model::Scenario scenario = model::generate_scenario(workload, rng);
-  const model::BidProfile bids = scenario.truthful_bids();
-
-  const auction::Outcome batch =
-      auction::OnlineGreedyMechanism(config).run(scenario, bids);
-  const RoundResult incremental = run_round(scenario, bids, config);
-
-  for (int t = 0; t < scenario.task_count(); ++t) {
-    ASSERT_EQ(incremental.outcome.allocation.phone_for(TaskId{t}),
-              batch.allocation.phone_for(TaskId{t}))
-        << "task " << t << " config " << config_id;
-  }
-  ASSERT_EQ(incremental.outcome.payments, batch.payments)
-      << "config " << config_id;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SeedsAndConfigs, PlatformEquivalence,
-    ::testing::Combine(::testing::Range<std::uint64_t>(9000, 9010),
-                       ::testing::Values(0, 1, 2, 3)));
 
 TEST(Platform, EquivalenceOnWeightedTasks) {
   Rng rng(88);
@@ -208,10 +251,10 @@ TEST(Platform, EquivalenceOnWeightedTasks) {
 
   const auction::Outcome batch =
       auction::OnlineGreedyMechanism{}.run(scenario, bids);
-  const RoundResult incremental = run_round(scenario, bids);
-  EXPECT_EQ(incremental.outcome.payments, batch.payments);
+  const auction::Outcome streamed = stream_round(scenario, bids).outcome;
+  EXPECT_EQ(streamed.payments, batch.payments);
   for (int t = 0; t < scenario.task_count(); ++t) {
-    EXPECT_EQ(incremental.outcome.allocation.phone_for(TaskId{t}),
+    EXPECT_EQ(streamed.allocation.phone_for(TaskId{t}),
               batch.allocation.phone_for(TaskId{t}));
   }
 }
@@ -224,21 +267,20 @@ TEST(Platform, EquivalenceUnderMisreports) {
       s.truthful_bids(), PhoneId{0}, model::fig5_delayed_bid_phone1());
   const auction::Outcome batch =
       auction::OnlineGreedyMechanism{}.run(s, bids);
-  const RoundResult incremental = run_round(s, bids);
-  EXPECT_EQ(incremental.outcome.payments, batch.payments);
+  EXPECT_EQ(stream_round(s, bids).outcome.payments, batch.payments);
 }
 
 TEST(Platform, DeployablePathIsItselfTruthful) {
   // Belt and braces: run the exhaustive deviation audit THROUGH the
-  // incremental platform (not the batch mechanism it is equivalent to), by
-  // adapting run_round to the Mechanism interface. Catches any future
-  // drift between the two implementations at the incentive level.
-  class PlatformAdapter final : public auction::Mechanism {
+  // streaming path (not the batch mechanism it is equivalent to), by
+  // adapting it to the Mechanism interface. Catches any future drift
+  // between the two at the incentive level.
+  class StreamingAdapter final : public auction::Mechanism {
    public:
     [[nodiscard]] auction::Outcome run(
         const model::Scenario& scenario,
         const model::BidProfile& bids) const override {
-      return run_round(scenario, bids).outcome;
+      return stream_round(scenario, bids).outcome;
     }
     [[nodiscard]] std::string name() const override {
       return "online-platform";
@@ -246,94 +288,11 @@ TEST(Platform, DeployablePathIsItselfTruthful) {
   };
 
   const model::Scenario s = model::fig4_scenario();
-  const PlatformAdapter platform_mechanism;
+  const StreamingAdapter streaming_mechanism;
   const analysis::TruthfulnessReport report =
-      analysis::audit_truthfulness(platform_mechanism, s);
+      analysis::audit_truthfulness(streaming_mechanism, s);
   EXPECT_TRUE(report.truthful()) << report.summary();
 }
 
-TEST(Platform, EventStreamOrderingWithinSlot) {
-  // Within a slot: announcements, then bids, then assignments/reports,
-  // then settlements.
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  const auto rank = [](EventKind kind) {
-    switch (kind) {
-      case EventKind::kTaskAnnounced:
-        return 0;
-      case EventKind::kBidSubmitted:
-        return 1;
-      case EventKind::kTaskAssigned:
-      case EventKind::kSensingReported:
-      case EventKind::kTaskUnserved:
-        return 2;
-      default:
-        return 3;
-    }
-  };
-  for (std::size_t k = 1; k < result.transcript.size(); ++k) {
-    const RoundEvent& prev = result.transcript[k - 1];
-    const RoundEvent& cur = result.transcript[k];
-    ASSERT_LE(prev.slot.value(), cur.slot.value());
-    if (prev.slot == cur.slot) {
-      ASSERT_LE(rank(prev.kind), rank(cur.kind))
-          << prev << " before " << cur;
-    }
-  }
-}
-
-// ---------------------------------------------------- events_of view
-
-TEST(RoundEventView, BorrowsTheTranscriptInsteadOfCopying) {
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  // Every element the view yields lives inside result.transcript -- the
-  // view filters in place, it does not materialize a copy.
-  const RoundEvent* const first = result.transcript.data();
-  const RoundEvent* const last = first + result.transcript.size();
-  std::size_t seen = 0;
-  for (const RoundEvent& event : result.events_of(EventKind::kPaymentIssued)) {
-    EXPECT_GE(&event, first);
-    EXPECT_LT(&event, last);
-    ++seen;
-  }
-  EXPECT_EQ(seen, result.events_of(EventKind::kPaymentIssued).size());
-}
-
-TEST(RoundEventView, MatchesAManualFilterInOrder) {
-  const model::Scenario s = model::fig4_scenario();
-  const RoundResult result = run_round(s, s.truthful_bids());
-  for (const EventKind kind :
-       {EventKind::kTaskAnnounced, EventKind::kBidSubmitted,
-        EventKind::kTaskAssigned, EventKind::kTaskUnserved,
-        EventKind::kPaymentIssued, EventKind::kDeparted}) {
-    std::vector<const RoundEvent*> manual;
-    for (const RoundEvent& event : result.transcript) {
-      if (event.kind == kind) manual.push_back(&event);
-    }
-    const RoundEventView view = result.events_of(kind);
-    EXPECT_EQ(view.size(), manual.size());
-    EXPECT_EQ(view.empty(), manual.empty());
-    std::size_t k = 0;
-    for (const RoundEvent& event : view) {
-      ASSERT_LT(k, manual.size());
-      EXPECT_EQ(&event, manual[k]) << "kind mismatch or order broken";
-      ++k;
-    }
-    EXPECT_EQ(k, manual.size());
-    if (!manual.empty()) {
-      EXPECT_EQ(&view.front(), manual.front());
-    }
-  }
-}
-
-TEST(RoundEventView, EmptyViewIteratesZeroTimes) {
-  const RoundResult result;  // empty transcript
-  const RoundEventView view = result.events_of(EventKind::kTaskAssigned);
-  EXPECT_TRUE(view.empty());
-  EXPECT_EQ(view.size(), 0u);
-  EXPECT_EQ(view.begin(), view.end());
-}
-
 }  // namespace
-}  // namespace mcs::platform
+}  // namespace mcs

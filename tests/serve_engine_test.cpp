@@ -17,6 +17,7 @@
 #include "auction/online_greedy.hpp"
 #include "common/error.hpp"
 #include "obs/metrics.hpp"
+#include "serve/econ_telemetry.hpp"
 #include "serve/event.hpp"
 #include "serve/loadgen.hpp"
 #include "serve/replay.hpp"
@@ -521,6 +522,17 @@ TEST(ServeConfigTest, ValidateRejectsOutOfDomainKnobs) {
   ServeConfig bad_queue;
   bad_queue.queue_capacity = 0;
   EXPECT_THROW(bad_queue.validate(), InvalidArgumentError);
+
+  // The econ sentinel must audit the mechanism that is actually serving.
+  EconTelemetryConfig econ_config;
+  econ_config.greedy.reserve_price = Money::from_units(20);
+  EconTelemetry econ(econ_config);
+  ServeConfig mismatched;
+  mismatched.econ = &econ;
+  EXPECT_THROW(mismatched.validate(), InvalidArgumentError);
+  ServeConfig matched = mismatched;
+  matched.greedy = econ_config.greedy;
+  EXPECT_NO_THROW(matched.validate());
 }
 
 }  // namespace

@@ -1,39 +1,26 @@
-// Streaming equivalence: every path built on the GreedyRound kernel -- the
-// batch OnlineGreedyMechanism, the round driver (platform::run_round), and
-// the serve RoundMachine fed by serve::round_events -- agrees with the
-// tests-side reference oracle task for task and Money for Money, on every
-// configuration family, weighted tasks, and the Fig. 5 misreport.
+// Streaming equivalence: both paths built on the GreedyRound kernel -- the
+// batch OnlineGreedyMechanism and the serve RoundMachine fed by
+// serve::round_events -- agree with the tests-side reference oracle task
+// for task and Money for Money, on every configuration family, weighted
+// tasks, the Fig. 5 misreport, and a seeded workload grid.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <tuple>
 
 #include "auction/online_greedy.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
-#include "platform/round_driver.hpp"
-#include "serve/loadgen.hpp"
-#include "serve/round_machine.hpp"
+#include "model/workload.hpp"
 #include "support/generators.hpp"
 #include "support/reference_greedy.hpp"
+#include "support/streaming.hpp"
 
 namespace mcs {
 namespace {
 
 using test_support::config_families;
-
-/// Streams one round through a RoundMachine, as a serve shard would.
-auction::Outcome stream_round(const model::Scenario& scenario,
-                              const model::BidProfile& bids,
-                              const auction::OnlineGreedyConfig& config) {
-  const std::vector<serve::ServeEvent> events =
-      serve::round_events(0, scenario, bids);
-  serve::RoundMachine machine(events.front(), config);
-  for (std::size_t k = 1; k < events.size(); ++k) {
-    const bool closed = machine.apply(events[k]);
-    EXPECT_EQ(closed, k + 1 == events.size());
-  }
-  return machine.take_outcome().outcome;
-}
+using test_support::stream_round;
 
 void expect_all_paths_match(const model::Scenario& scenario,
                             const model::BidProfile& bids,
@@ -45,10 +32,8 @@ void expect_all_paths_match(const model::Scenario& scenario,
       auction::OnlineGreedyMechanism(config).run(scenario, bids), reference,
       label + "/batch");
   test_support::expect_matches_reference(
-      platform::run_round(scenario, bids, config).outcome, reference,
-      label + "/run_round");
-  test_support::expect_matches_reference(stream_round(scenario, bids, config),
-                                         reference, label + "/round_machine");
+      stream_round(scenario, bids, config).outcome, reference,
+      label + "/round_machine");
 }
 
 TEST(StreamingEquivalence, EveryConfigFamilyOnRandomRounds) {
@@ -107,13 +92,59 @@ TEST(StreamingEquivalence, Fig5DelayedBidMisreport) {
                            name + "/fig4_truthful");
   }
   const auction::Outcome streamed =
-      stream_round(scenario, scenario.truthful_bids(), {});
+      stream_round(scenario, scenario.truthful_bids()).outcome;
   EXPECT_EQ(streamed.payments[1], Money::from_units(11));
   EXPECT_EQ(streamed.payments[0], Money::from_units(9));
   EXPECT_EQ(streamed.payments[6], Money::from_units(8));
   EXPECT_EQ(streamed.payments[5], Money::from_units(11));
   EXPECT_EQ(streamed.payments[3], Money::from_units(11));
 }
+
+// Seeded Poisson-workload rounds (12 slots) under four knob settings.
+using EquivalenceParam = std::tuple<std::uint64_t, int>;  // (seed, config id)
+
+class PlatformEquivalence : public ::testing::TestWithParam<EquivalenceParam> {
+ protected:
+  static auction::OnlineGreedyConfig config_for(int id) {
+    auction::OnlineGreedyConfig config;
+    switch (id) {
+      case 0:
+        break;  // paper-faithful
+      case 1:
+        config.allocate_only_profitable = true;
+        break;
+      case 2:
+        config.reserve_price = Money::from_units(20);
+        break;
+      default:
+        config.allocate_only_profitable = true;
+        config.reserve_price = Money::from_units(20);
+        config.scarce_payment =
+            auction::OnlineGreedyConfig::ScarcePayment::kOwnBid;
+    }
+    return config;
+  }
+};
+
+TEST_P(PlatformEquivalence, MatchesBatchMechanismExactly) {
+  const auto [seed, config_id] = GetParam();
+  Rng rng(seed);
+  model::WorkloadConfig workload;
+  workload.num_slots = 12;
+  workload.phone_arrival_rate = 3.0;
+  workload.task_arrival_rate = 2.0;
+  workload.mean_cost = 15.0;
+  workload.task_value = Money::from_units(30);
+  const model::Scenario scenario = model::generate_scenario(workload, rng);
+  expect_all_paths_match(scenario, scenario.truthful_bids(),
+                         config_for(config_id),
+                         "config " + std::to_string(config_id));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    SeedsAndConfigs, PlatformEquivalence,
+    ::testing::Combine(::testing::Range<std::uint64_t>(9000, 9010),
+                       ::testing::Values(0, 1, 2, 3)));
 
 }  // namespace
 }  // namespace mcs

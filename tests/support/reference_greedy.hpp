@@ -4,8 +4,8 @@
 // active, unallocated ones -- and Algorithm 2 by a full re-run from slot 1
 // without each winner. It is built on model types only and shares no code
 // with auction::GreedyRound, so the equivalence suites compare the kernel
-// (and every path built on it: the batch mechanism, the round driver, the
-// serve RoundMachine) against an independent reading of the paper.
+// (and both paths built on it: the batch mechanism and the serve
+// RoundMachine) against an independent reading of the paper.
 #pragma once
 
 #include <string>
