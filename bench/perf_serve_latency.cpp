@@ -54,9 +54,9 @@ void BM_ServeLiveLatency(benchmark::State& state) {
     for (const serve::ServeEvent& event : events) engine.submit(event);
     engine.drain();
     benchmark::DoNotOptimize(engine.stats());
-    const serve::LiveSummary summary = live.summary();
-    queue_wait = summary.queue_wait;
-    round_latency = summary.round_latency;
+    const serve::LiveWindow run = live.summary();
+    queue_wait = run.delta.queue_wait;
+    round_latency = run.delta.round_latency;
   }
   state.counters["events"] = static_cast<double>(events.size());
   state.counters["queue_wait_p50_us"] = queue_wait.quantile_us(0.5);
@@ -68,17 +68,18 @@ void BM_ServeLiveLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_ServeLiveLatency)->Arg(1)->Arg(2)->Arg(4)->Arg(8);
 
-/// The raw hook cost: one sketch record per call, the engine's per-event
-/// overhead when the live plane is attached.
+/// The sketch half of the raw hook cost: one record per call into a
+/// reserved sketch, as the live hooks do under their shard lock.
 void BM_LatencySketchRecord(benchmark::State& state) {
-  obs::LatencySketch sketch;
+  obs::LatencySketchSnapshot sketch;
+  sketch.reserve_buckets();
   std::uint64_t value = 1;
   for (auto _ : state) {
     sketch.record_ns(value);
     value = value * 2862933555777941757ULL + 3037000493ULL;  // cheap LCG
     benchmark::DoNotOptimize(value);
   }
-  benchmark::DoNotOptimize(sketch.count());
+  benchmark::DoNotOptimize(sketch.count);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_LatencySketchRecord);
@@ -93,7 +94,7 @@ void BM_ServeSnapshot(benchmark::State& state) {
   live.attach(4, 1024);
   for (int shard = 0; shard < 4; ++shard) {
     for (int i = 0; i < 256; ++i) {
-      live.on_submit(shard, i % 7);
+      live.on_submit(shard, 1, i % 7);
       live.on_process(shard, static_cast<std::uint64_t>(1000 + i), i % 5);
     }
     live.on_round_close(shard, 2'000'000);

@@ -1,9 +1,7 @@
 #include "obs/econ_metrics.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cmath>
-
-#include "common/assert.hpp"
 
 namespace mcs::obs {
 
@@ -40,49 +38,48 @@ std::uint64_t ratio_to_sketch_units(double ratio) {
 
 double sketch_units_to_ratio(double units) { return units / 1e6; }
 
-EconWindowAggregator::EconWindowAggregator(std::uint64_t start_ns,
-                                           std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  previous_.at_ns = start_ns;
+namespace {
+
+/// The record's plain counters: summed by +=, differenced by -.
+constexpr std::array kEconCounts{
+    &EconCumulative::rounds,
+    &EconCumulative::rounds_skipped,
+    &EconCumulative::tasks,
+    &EconCumulative::tasks_allocated,
+    &EconCumulative::winners,
+    &EconCumulative::payment_micros,
+    &EconCumulative::claimed_cost_micros,
+    &EconCumulative::second_price_payment_micros,
+    &EconCumulative::vcg_payment_micros,
+    &EconCumulative::vcg_rounds,
+    &EconCumulative::probe_rounds,
+    &EconCumulative::probe_checks,
+    &EconCumulative::violations,
+};
+
+}  // namespace
+
+double EconCumulative::coverage() const {
+  return coverage_rate(tasks_allocated, tasks);
 }
 
-const EconWindowStats& EconWindowAggregator::roll(const EconCumulative& now) {
-  MCS_EXPECTS(now.at_ns >= previous_.at_ns,
-              "econ window sampled with a clock that went backwards");
-  EconWindowStats window;
-  window.index = next_index_++;
-  window.begin_ns = previous_.at_ns;
-  window.end_ns = now.at_ns;
-  window.rounds = now.rounds - previous_.rounds;
-  window.rounds_skipped = now.rounds_skipped - previous_.rounds_skipped;
-  window.tasks = now.tasks - previous_.tasks;
-  window.tasks_allocated = now.tasks_allocated - previous_.tasks_allocated;
-  window.winners = now.winners - previous_.winners;
-  window.payment_micros = now.payment_micros - previous_.payment_micros;
-  window.claimed_cost_micros =
-      now.claimed_cost_micros - previous_.claimed_cost_micros;
-  window.second_price_payment_micros = now.second_price_payment_micros -
-                                       previous_.second_price_payment_micros;
-  window.vcg_payment_micros =
-      now.vcg_payment_micros - previous_.vcg_payment_micros;
-  window.vcg_rounds = now.vcg_rounds - previous_.vcg_rounds;
-  window.probe_rounds = now.probe_rounds - previous_.probe_rounds;
-  window.probe_checks = now.probe_checks - previous_.probe_checks;
-  window.violations = now.violations - previous_.violations;
-  window.fairness = now.fairness.delta_since(previous_.fairness);
-  window.overpayment = now.overpayment.delta_since(previous_.overpayment);
-  const double seconds = window.seconds();
-  if (seconds > 0.0) {
-    window.rounds_per_sec = static_cast<double>(window.rounds) / seconds;
-  }
-  window.coverage = coverage_rate(window.tasks_allocated, window.tasks);
-  window.overpayment_ratio =
-      overpayment_ratio(Money::from_micros(window.payment_micros),
-                        Money::from_micros(window.claimed_cost_micros));
-  previous_ = now;
-  windows_.push_back(std::move(window));
-  while (windows_.size() > capacity_) windows_.pop_front();
-  return windows_.back();
+double EconCumulative::overpayment_ratio() const {
+  return obs::overpayment_ratio(Money::from_micros(payment_micros),
+                                Money::from_micros(claimed_cost_micros));
+}
+
+EconCumulative& EconCumulative::operator+=(const EconCumulative& other) {
+  for (const auto field : kEconCounts) this->*field += other.*field;
+  fairness.merge(other.fairness);
+  overpayment.merge(other.overpayment);
+  return *this;
+}
+
+EconCumulative operator-(EconCumulative later, const EconCumulative& earlier) {
+  for (const auto field : kEconCounts) later.*field -= earlier.*field;
+  later.fairness = later.fairness.delta_since(earlier.fairness);
+  later.overpayment = later.overpayment.delta_since(earlier.overpayment);
+  return later;
 }
 
 HealthState classify_econ_health(std::int64_t total_violations) {

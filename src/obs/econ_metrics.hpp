@@ -5,10 +5,9 @@
 // -- yet the rest of src/obs watches *systems* signals only. This header
 // is the economics vocabulary shared by the offline analysis layer and
 // the live serve plane: exact-Money-in, double-out summary statistics
-// (overpayment ratio, Jain payment fairness, task coverage) plus the
-// cumulative-sample / rolling-window machinery that turns per-round
-// observations into per-window deltas, mirroring obs/rolling_window.hpp
-// and reusing the LatencySketch for ratio distributions.
+// (overpayment ratio, Jain payment fairness, task coverage) plus the econ
+// plane's counter record, which obs/rolling_window.hpp windows like any
+// other and whose ratio distributions ride in latency-sketch buckets.
 //
 // Layering: this file sits in obs and speaks only common vocabulary
 // (Money, integers). Scenario-aware per-round computation lives in
@@ -22,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "common/money.hpp"
@@ -47,7 +45,7 @@ namespace mcs::obs {
 
 // ------------------------------------------- ratio <-> sketch conversion
 
-/// Dimensionless ratios ride in LatencySketch buckets as micro-ratios
+/// Dimensionless ratios ride in latency-sketch buckets as micro-ratios
 /// (ratio * 1e6 rounded), the same fixed-point scale Money uses, so one
 /// sketch implementation serves both planes. Negative ratios clamp to 0
 /// (the sketch is unsigned; economically sane ratios are nonnegative).
@@ -56,13 +54,13 @@ namespace mcs::obs {
 /// Inverse of ratio_to_sketch_units for quantile readouts.
 [[nodiscard]] double sketch_units_to_ratio(double units);
 
-// ------------------------------------------------ cumulative + windows
+// ------------------------------------------------------ the econ record
 
-/// Cumulative economic totals of one lane (e.g. one serve shard) at a
-/// sample instant. All fields are monotone; Money totals travel as exact
-/// micro counts so window deltas subtract exactly.
+/// Cumulative economic totals of one lane (e.g. one serve shard): the econ
+/// plane's one counter record, windowed by RollingWindow<EconCumulative>.
+/// Every field only grows; Money totals travel as exact micro counts so
+/// window deltas subtract exactly.
 struct EconCumulative {
-  std::uint64_t at_ns{0};
   std::int64_t rounds{0};          ///< rounds observed by the econ plane
   std::int64_t rounds_skipped{0};  ///< closed rounds the plane could not audit
   std::int64_t tasks{0};
@@ -80,62 +78,17 @@ struct EconCumulative {
   std::int64_t violations{0};    ///< sentinel violations (any kind)
   LatencySketchSnapshot fairness;     ///< per-round Jain index, micro-scaled
   LatencySketchSnapshot overpayment;  ///< per-round sigma, micro-scaled
+
+  /// tasks_allocated / tasks; 1.0 when there were no tasks.
+  [[nodiscard]] double coverage() const;
+  /// Sigma over the record's money totals.
+  [[nodiscard]] double overpayment_ratio() const;
+
+  EconCumulative& operator+=(const EconCumulative& other);
 };
 
-/// One closed econ window: deltas between two cumulative samples plus the
-/// ratios derived from the deltas.
-struct EconWindowStats {
-  std::int64_t index{0};
-  std::uint64_t begin_ns{0};
-  std::uint64_t end_ns{0};
-  std::int64_t rounds{0};
-  std::int64_t rounds_skipped{0};
-  std::int64_t tasks{0};
-  std::int64_t tasks_allocated{0};
-  std::int64_t winners{0};
-  std::int64_t payment_micros{0};
-  std::int64_t claimed_cost_micros{0};
-  std::int64_t second_price_payment_micros{0};
-  std::int64_t vcg_payment_micros{0};
-  std::int64_t vcg_rounds{0};
-  std::int64_t probe_rounds{0};
-  std::int64_t probe_checks{0};
-  std::int64_t violations{0};
-  double rounds_per_sec{0.0};
-  double coverage{0.0};            ///< tasks_allocated / tasks of the window
-  double overpayment_ratio{0.0};   ///< sigma over the window's money deltas
-  LatencySketchSnapshot fairness;     ///< per-round samples in the window
-  LatencySketchSnapshot overpayment;  ///< per-round samples in the window
-
-  [[nodiscard]] double seconds() const {
-    return static_cast<double>(end_ns - begin_ns) / 1e9;
-  }
-};
-
-/// Turns successive EconCumulative samples into EconWindowStats and keeps
-/// the most recent `capacity` windows -- the economic twin of
-/// RollingWindowAggregator. Single-threaded by design: only the stats
-/// publisher rolls it.
-class EconWindowAggregator {
- public:
-  explicit EconWindowAggregator(std::uint64_t start_ns = 0,
-                                std::size_t capacity = 64);
-
-  /// Closes the window [previous sample, now] and returns it. `now.at_ns`
-  /// must not precede the previous sample.
-  const EconWindowStats& roll(const EconCumulative& now);
-
-  [[nodiscard]] const std::deque<EconWindowStats>& windows() const {
-    return windows_;
-  }
-  [[nodiscard]] std::int64_t next_index() const { return next_index_; }
-
- private:
-  std::size_t capacity_;
-  std::deque<EconWindowStats> windows_;
-  EconCumulative previous_;
-  std::int64_t next_index_{0};
-};
+[[nodiscard]] EconCumulative operator-(EconCumulative later,
+                                       const EconCumulative& earlier);
 
 /// Economic health of one lane: any sentinel violation -- ever -- means
 /// the mechanism is mispriced, so the state is sticky (degraded economics

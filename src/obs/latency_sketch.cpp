@@ -37,43 +37,6 @@ std::uint64_t bucket_upper_edge(std::size_t bucket) noexcept {
 
 }  // namespace sketch_detail
 
-// ------------------------------------------------------------- live sketch
-
-void LatencySketch::record_ns(std::uint64_t ns) noexcept {
-  counts_[sketch_detail::bucket_of(ns)].fetch_add(1,
-                                                  std::memory_order_relaxed);
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_ns_.fetch_add(ns, std::memory_order_relaxed);
-  std::uint64_t seen = min_ns_.load(std::memory_order_relaxed);
-  while (ns < seen &&
-         !min_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
-  }
-  seen = max_ns_.load(std::memory_order_relaxed);
-  while (ns > seen &&
-         !max_ns_.compare_exchange_weak(seen, ns, std::memory_order_relaxed)) {
-  }
-}
-
-LatencySketchSnapshot LatencySketch::snapshot() const {
-  LatencySketchSnapshot snap;
-  std::size_t highest = 0;
-  std::vector<std::uint64_t> counts(sketch_detail::kBucketCount, 0);
-  for (std::size_t b = 0; b < counts.size(); ++b) {
-    counts[b] = counts_[b].load(std::memory_order_relaxed);
-    if (counts[b] > 0) highest = b + 1;
-  }
-  counts.resize(highest);
-  snap.counts = std::move(counts);
-  snap.count = count_.load(std::memory_order_relaxed);
-  snap.sum_ns =
-      static_cast<double>(sum_ns_.load(std::memory_order_relaxed));
-  snap.min_ns = snap.count == 0 ? 0 : min_ns_.load(std::memory_order_relaxed);
-  snap.max_ns = max_ns_.load(std::memory_order_relaxed);
-  return snap;
-}
-
-// --------------------------------------------------------------- snapshot
-
 double LatencySketchSnapshot::quantile_ns(double q) const {
   if (count == 0) return std::numeric_limits<double>::quiet_NaN();
   // Adapt the bucket counts to the counter plane's HistogramData shape:
@@ -121,8 +84,6 @@ LatencySketchSnapshot LatencySketchSnapshot::delta_since(
   delta.sum_ns = sum_ns - earlier.sum_ns;
   // A window's true extrema are not recoverable from cumulative extrema;
   // the occupied bucket edges bound them within the sketch's resolution.
-  // A snapshot racing record_ns can count a sample whose bucket it missed,
-  // so a nonzero count does not imply an occupied bucket.
   if (highest > 0) {
     delta.min_ns = sketch_detail::bucket_lower_edge(lowest);
     delta.max_ns = sketch_detail::bucket_upper_edge(highest - 1);
@@ -142,6 +103,16 @@ void LatencySketchSnapshot::merge(const LatencySketchSnapshot& other) {
   max_ns = count == 0 ? other.max_ns : std::max(max_ns, other.max_ns);
   count += other.count;
   sum_ns += other.sum_ns;
+}
+
+void LatencySketchSnapshot::record_ns(std::uint64_t ns) {
+  const std::size_t bucket = sketch_detail::bucket_of(ns);
+  if (bucket >= counts.size()) counts.resize(bucket + 1, 0);
+  ++counts[bucket];
+  min_ns = count == 0 ? ns : std::min(min_ns, ns);
+  max_ns = std::max(max_ns, ns);
+  ++count;
+  sum_ns += static_cast<double>(ns);
 }
 
 }  // namespace mcs::obs

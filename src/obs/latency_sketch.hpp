@@ -3,25 +3,21 @@
 // An HDR-histogram-style sketch over nanosecond durations: values below 16
 // are counted exactly, everything above lands in one of 16 linear
 // sub-buckets per power of two, so the relative quantile error is bounded
-// by 1/16 (6.25%) across the full uint64 range. Recording is a handful of
-// relaxed atomic operations (no locks, no allocation), cheap enough to sit
-// on the serve engine's per-event path; snapshots are taken concurrently
-// by the stats publisher thread.
+// by 1/16 (6.25%) across the full uint64 range. Recording is a bucket
+// increment; the serve planes record into the sketches of their per-shard
+// records under the shard's lock and copy them out for snapshots.
 //
 // Sketches are mergeable (bucket-wise sums, associative and commutative),
-// and snapshots additionally support delta_since() so a rolling window can
-// subtract the cumulative sketch at the previous window edge. Quantile
-// extraction converts the bucket counts into the same
-// MetricsSnapshot::HistogramData shape the counter plane exports and
-// reuses obs::estimate_quantile, so both planes share one definition of
-// p50/p95/p99.
+// and additionally support delta_since() so a rolling window can subtract
+// the cumulative sketch at the previous window edge. Quantile extraction
+// converts the bucket counts into the same MetricsSnapshot::HistogramData
+// shape the counter plane exports and reuses obs::estimate_quantile, so
+// both planes share one definition of p50/p95/p99.
 //
 // This type is part of the wall-clock timing plane: it must never be
 // registered in a MetricsRegistry that bench-diff gates.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -42,15 +38,15 @@ inline constexpr std::size_t kBucketCount =
 [[nodiscard]] std::uint64_t bucket_lower_edge(std::size_t bucket) noexcept;
 }  // namespace sketch_detail
 
-/// Point-in-time copy of a sketch: a value type that can be merged,
-/// subtracted (delta_since), and queried for quantiles.
+/// A latency sketch as a value: recorded into, merged, subtracted
+/// (delta_since), and queried for quantiles.
 struct LatencySketchSnapshot {
   /// Per-bucket counts, trimmed after the highest non-empty bucket.
   std::vector<std::uint64_t> counts;
   std::uint64_t count{0};
   double sum_ns{0.0};
-  /// Exact observed extrema (cumulative snapshots). Deltas reconstruct
-  /// them from the occupied bucket edges instead (documented 6.25% bound).
+  /// Exact observed extrema (recorded sketches). Deltas reconstruct them
+  /// from the occupied bucket edges instead (documented 6.25% bound).
   std::uint64_t min_ns{0};
   std::uint64_t max_ns{0};
 
@@ -66,7 +62,7 @@ struct LatencySketchSnapshot {
     return quantile_ns(q) / 1000.0;
   }
 
-  /// Samples recorded between `earlier` and this snapshot, both taken from
+  /// Samples recorded between `earlier` and this sketch, both states of
   /// the same sketch (bucket-wise subtraction). Extrema of the delta are
   /// re-derived from its occupied bucket edges.
   [[nodiscard]] LatencySketchSnapshot delta_since(
@@ -75,30 +71,13 @@ struct LatencySketchSnapshot {
   /// Bucket-wise sum (associative, commutative) -- for aggregating shard
   /// sketches into an engine-wide view.
   void merge(const LatencySketchSnapshot& other);
-};
 
-/// The live, concurrently-written sketch. record_ns is safe from any
-/// number of threads; snapshot() is safe concurrently with recording.
-class LatencySketch {
- public:
-  LatencySketch() = default;
-  LatencySketch(const LatencySketch&) = delete;
-  LatencySketch& operator=(const LatencySketch&) = delete;
-
-  void record_ns(std::uint64_t ns) noexcept;
-  [[nodiscard]] LatencySketchSnapshot snapshot() const;
-  /// Total samples recorded so far (cheaper than a full snapshot).
-  [[nodiscard]] std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::array<std::atomic<std::uint64_t>, sketch_detail::kBucketCount>
-      counts_{};
-  std::atomic<std::uint64_t> count_{0};
-  std::atomic<std::uint64_t> sum_ns_{0};
-  std::atomic<std::uint64_t> min_ns_{~0ULL};
-  std::atomic<std::uint64_t> max_ns_{0};
+  /// Adds one sample. Not thread-safe: the owner serializes access (the
+  /// serve planes record under their shard slot's lock).
+  void record_ns(std::uint64_t ns);
+  /// Reserves room for every bucket, so record_ns never allocates (the
+  /// serve planes' long-lived shard records reserve when attached).
+  void reserve_buckets() { counts.reserve(sketch_detail::kBucketCount); }
 };
 
 }  // namespace mcs::obs

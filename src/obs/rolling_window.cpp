@@ -1,48 +1,36 @@
 #include "obs/rolling_window.hpp"
 
-#include <algorithm>
-
-#include "common/assert.hpp"
-
 namespace mcs::obs {
 
-RollingWindowAggregator::RollingWindowAggregator(std::uint64_t start_ns,
-                                                 std::size_t capacity)
-    : capacity_(std::max<std::size_t>(capacity, 1)) {
-  previous_.at_ns = start_ns;
+double LiveCumulative::reject_rate() const {
+  const std::int64_t offered = submitted + rejected;
+  return offered > 0
+             ? static_cast<double>(rejected) / static_cast<double>(offered)
+             : 0.0;
 }
 
-const WindowStats& RollingWindowAggregator::roll(const LiveCumulative& now) {
-  MCS_EXPECTS(now.at_ns >= previous_.at_ns,
-              "rolling window sampled with a clock that went backwards");
-  WindowStats window;
-  window.index = next_index_++;
-  window.begin_ns = previous_.at_ns;
-  window.end_ns = now.at_ns;
-  window.submitted = now.submitted - previous_.submitted;
-  window.processed = now.processed - previous_.processed;
-  window.rejected = now.rejected - previous_.rejected;
-  window.rounds_closed = now.rounds_closed - previous_.rounds_closed;
-  window.queue_depth = now.queue_depth;
-  window.queue_watermark = now.window_watermark;
-  window.queue_wait = now.queue_wait.delta_since(previous_.queue_wait);
-  window.round_latency =
-      now.round_latency.delta_since(previous_.round_latency);
-  const double seconds = window.seconds();
-  if (seconds > 0.0) {
-    window.events_per_sec = static_cast<double>(window.processed) / seconds;
-    window.rounds_per_sec =
-        static_cast<double>(window.rounds_closed) / seconds;
-  }
-  const std::int64_t offered = window.submitted + window.rejected;
-  if (offered > 0) {
-    window.reject_rate =
-        static_cast<double>(window.rejected) / static_cast<double>(offered);
-  }
-  previous_ = now;
-  windows_.push_back(std::move(window));
-  while (windows_.size() > capacity_) windows_.pop_front();
-  return windows_.back();
+LiveCumulative& LiveCumulative::operator+=(const LiveCumulative& other) {
+  submitted += other.submitted;
+  processed += other.processed;
+  rejected += other.rejected;
+  rounds_closed += other.rounds_closed;
+  queue_depth += other.queue_depth;
+  queue_watermark = std::max(queue_watermark, other.queue_watermark);
+  queue_high_watermark =
+      std::max(queue_high_watermark, other.queue_high_watermark);
+  queue_wait.merge(other.queue_wait);
+  round_latency.merge(other.round_latency);
+  return *this;
+}
+
+LiveCumulative operator-(LiveCumulative later, const LiveCumulative& earlier) {
+  later.submitted -= earlier.submitted;
+  later.processed -= earlier.processed;
+  later.rejected -= earlier.rejected;
+  later.rounds_closed -= earlier.rounds_closed;
+  later.queue_wait = later.queue_wait.delta_since(earlier.queue_wait);
+  later.round_latency = later.round_latency.delta_since(earlier.round_latency);
+  return later;
 }
 
 // ----------------------------------------------------------------- health
@@ -67,40 +55,29 @@ HealthState worse(HealthState a, HealthState b) {
   return static_cast<int>(a) >= static_cast<int>(b) ? a : b;
 }
 
-HealthState classify_health(const std::deque<WindowStats>& windows,
-                            std::int64_t queue_capacity,
-                            const HealthConfig& config) {
+HealthState classify_health(const std::deque<Window<LiveCumulative>>& windows,
+                            std::int64_t queue_capacity) {
   if (windows.empty()) return HealthState::kHealthy;
-  const std::size_t dwell =
-      static_cast<std::size_t>(std::max(config.dwell_windows, 1));
+  const bool dwelt = windows.size() >= kHealthDwellWindows;
+  const auto dwell_begin = windows.end() - (dwelt ? kHealthDwellWindows : 0);
 
-  if (windows.size() >= dwell) {
-    bool stalled = true;
-    for (std::size_t i = windows.size() - dwell; i < windows.size(); ++i) {
-      const WindowStats& w = windows[i];
-      if (w.queue_depth <= 0 || w.processed > 0) {
-        stalled = false;
-        break;
-      }
-    }
-    if (stalled) return HealthState::kStalled;
+  if (dwelt && std::all_of(dwell_begin, windows.end(), [](const auto& w) {
+        return w.delta.queue_depth > 0 && w.delta.processed == 0;
+      })) {
+    return HealthState::kStalled;
   }
 
-  if (windows.back().reject_rate > config.shed_reject_rate) {
+  if (windows.back().delta.reject_rate() > kShedRejectRate) {
     return HealthState::kShedding;
   }
 
-  if (windows.size() >= dwell && queue_capacity > 0) {
-    const double threshold = config.saturated_queue_fraction *
-                             static_cast<double>(queue_capacity);
-    bool saturated = true;
-    for (std::size_t i = windows.size() - dwell; i < windows.size(); ++i) {
-      if (static_cast<double>(windows[i].queue_watermark) < threshold) {
-        saturated = false;
-        break;
-      }
-    }
-    if (saturated) return HealthState::kSaturated;
+  const double threshold =
+      kSaturatedQueueFraction * static_cast<double>(queue_capacity);
+  if (dwelt && queue_capacity > 0 &&
+      std::all_of(dwell_begin, windows.end(), [&](const auto& w) {
+        return static_cast<double>(w.delta.queue_watermark) >= threshold;
+      })) {
+    return HealthState::kSaturated;
   }
 
   return HealthState::kHealthy;

@@ -20,7 +20,7 @@
 // ("pinned") traces survive wraparound, healthy context traces are
 // evicted first.
 //
-// SketchExemplars companion-maps the LatencySketch bucket space: each
+// SketchExemplars companion-maps the latency-sketch bucket space: each
 // bucket above an exemplar threshold remembers the trace id of the worst
 // round that landed in it, so a sketch quantile links directly to a
 // causal timeline.
@@ -144,7 +144,7 @@ class TraceRing {
   std::vector<Entry> slots_;
 };
 
-/// Companion exemplar table over the LatencySketch bucket space: each
+/// Companion exemplar table over the latency-sketch bucket space: each
 /// bucket at or above `threshold_ns` remembers the worst (highest-value)
 /// round that landed in it, keyed by trace id. offer() is thread-safe
 /// (round_close frequency only -- one short mutex, never on the per-event

@@ -31,14 +31,14 @@
 // obs::EventLog and flip the plane's health to degraded-economics
 // (sticky: a mispriced mechanism is a bug, not load).
 //
-// Snapshots aggregate per-shard atomics through obs::EconWindowAggregator
-// into one "mcs.serve_econ.v1" JSONL line (write_econ_snapshot) and
+// Each shard keeps one obs::EconCumulative record; snapshots window the
+// shard records and their sum through obs::RollingWindow into one
+// "mcs.serve_econ.v1" JSONL line (write_econ_snapshot) and
 // Prometheus gauges (render_econ_prometheus), published by the same
 // StatsPublisher cadence as the systems plane. Time comes from an
 // injectable clock, so FakeClock tests golden the stream byte for byte.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -48,7 +48,6 @@
 #include "auction/online_greedy.hpp"
 #include "obs/econ_metrics.hpp"
 #include "obs/event_log.hpp"
-#include "obs/latency_sketch.hpp"
 #include "obs/wallclock.hpp"
 #include "serve/round_machine.hpp"
 
@@ -57,17 +56,6 @@ namespace mcs::serve {
 struct EconTelemetryConfig {
   /// Time source; nullptr = the process steady clock.
   obs::MonotonicClock* clock = nullptr;
-  /// Rolling econ windows retained per shard.
-  std::size_t window_capacity = 64;
-
-  /// Price every round under the per-slot second-price baseline (cheap:
-  /// one greedy re-run, no counterfactuals).
-  bool second_price_reference = true;
-  /// Offline VCG reference, gated to small rounds (O((n+gamma)^3) style
-  /// matching); 0 disables. A round qualifies when phones <= vcg_max_phones
-  /// AND tasks <= vcg_max_tasks.
-  int vcg_max_phones = 12;
-  int vcg_max_tasks = 12;
 
   /// Deep-probe sampling: 1-in-N rounds get per-winner counterfactual
   /// probes; 0 disables deep probes (cheap invariants still run on every
@@ -86,29 +74,29 @@ struct EconTelemetryConfig {
   obs::EventLog* events = nullptr;
 };
 
+/// The offline VCG reference prices only small rounds (its matching is
+/// cubic): at most this many phones and this many tasks.
+inline constexpr int kVcgMaxPhones = 12;
+inline constexpr int kVcgMaxTasks = 12;
+
 /// Whether a given round id is deep-probed under this sampling config
 /// (exposed so tests and docs can predict the sampled set).
 [[nodiscard]] bool econ_probe_sampled(std::int64_t round,
                                       std::int64_t probe_every,
                                       std::uint64_t probe_seed);
 
-/// One shard's share of an econ snapshot window.
-struct EconShardWindow {
-  int shard{0};
-  obs::EconWindowStats window;
-};
+using EconWindow = obs::Window<obs::EconCumulative>;
 
-/// One published econ snapshot: per-shard windows, their engine-wide
-/// window aggregate, and the cumulative-since-attach totals. All times are
+/// One published econ snapshot: per-shard windows (indexed by shard), the
+/// window over the sum of the shard records, and that sum itself since
+/// attach. `total.index` is the monotone snapshot number; all times are
 /// uptime-relative nanoseconds.
 struct EconSnapshot {
-  std::int64_t window{0};
-  std::uint64_t at_ns{0};
   /// healthy, or degraded-economics once any violation was ever observed.
   obs::HealthState state{obs::HealthState::kHealthy};
-  obs::EconWindowStats total;       ///< deltas summed across shards
-  obs::EconCumulative cumulative;   ///< merged cumulative totals
-  std::vector<EconShardWindow> shards;
+  EconWindow total;
+  obs::EconCumulative cumulative;
+  std::vector<EconWindow> shards;
 };
 
 class EconTelemetry {
@@ -134,7 +122,7 @@ class EconTelemetry {
   std::int64_t observe_round(int shard, RoundMachine& machine,
                              const RoundOutcome& result);
 
-  /// Rolls one econ window per shard and aggregates. Serialized
+  /// Rolls one econ window per shard and one over their sum. Serialized
   /// internally against concurrent publishers.
   [[nodiscard]] EconSnapshot take_snapshot();
 
@@ -142,29 +130,21 @@ class EconTelemetry {
   [[nodiscard]] std::int64_t violations() const;
 
  private:
-  /// Written by shard workers (observe_round), read by the snapshot
-  /// thread. Money totals are exact micro counters.
+  /// One shard's record, written by its worker (observe_round) and read
+  /// by the sampler.
   struct ShardSlot {
-    std::atomic<std::int64_t> rounds{0};
-    std::atomic<std::int64_t> rounds_skipped{0};
-    std::atomic<std::int64_t> tasks{0};
-    std::atomic<std::int64_t> tasks_allocated{0};
-    std::atomic<std::int64_t> winners{0};
-    std::atomic<std::int64_t> payment_micros{0};
-    std::atomic<std::int64_t> claimed_cost_micros{0};
-    std::atomic<std::int64_t> second_price_payment_micros{0};
-    std::atomic<std::int64_t> vcg_payment_micros{0};
-    std::atomic<std::int64_t> vcg_rounds{0};
-    std::atomic<std::int64_t> probe_rounds{0};
-    std::atomic<std::int64_t> probe_checks{0};
-    std::atomic<std::int64_t> violations{0};
-    obs::LatencySketch fairness;     ///< per-round Jain, micro-ratio units
-    obs::LatencySketch overpayment;  ///< per-round sigma, micro-ratio units
+    ShardSlot() {
+      totals.fairness.reserve_buckets();
+      totals.overpayment.reserve_buckets();
+    }
+    std::mutex mutex;
+    obs::EconCumulative totals;
   };
 
   [[nodiscard]] std::uint64_t now_ns();
-  [[nodiscard]] obs::EconCumulative sample_shard(ShardSlot& slot,
-                                                 std::uint64_t at_ns);
+  /// Folds one round's record into its shard's totals.
+  void add(int shard, const obs::EconCumulative& round);
+  [[nodiscard]] static obs::EconCumulative sample(ShardSlot& slot);
   void report_violation(int shard, std::int64_t round, std::string_view kind,
                         std::int32_t phone, Money observed, Money expected);
 
@@ -172,9 +152,9 @@ class EconTelemetry {
   obs::MonotonicClock* clock_;
   std::uint64_t start_ns_{0};
   std::vector<std::unique_ptr<ShardSlot>> slots_;
-  std::mutex snapshot_mutex_;  ///< guards aggregators_ + next_window_
-  std::vector<obs::EconWindowAggregator> aggregators_;
-  std::int64_t next_window_{0};
+  std::mutex snapshot_mutex_;  ///< guards the rolling windows below
+  std::vector<obs::RollingWindow<obs::EconCumulative>> shard_windows_;
+  obs::RollingWindow<obs::EconCumulative> total_window_;
 };
 
 /// One "mcs.serve_econ.v1" JSONL line (newline-terminated). Money travels

@@ -9,15 +9,13 @@
 #include "io/json.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
-#include "serve/econ_telemetry.hpp"
 
 namespace mcs::serve {
 
 // ---------------------------------------------------------- LiveTelemetry
 
 LiveTelemetry::LiveTelemetry(LiveTelemetryConfig config)
-    : config_(config),
-      clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()) {}
+    : clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()) {}
 
 void LiveTelemetry::attach(int shards, std::int64_t queue_capacity) {
   MCS_EXPECTS(shards >= 1, "live telemetry requires >= 1 shard");
@@ -25,12 +23,12 @@ void LiveTelemetry::attach(int shards, std::int64_t queue_capacity) {
   start_ns_ = clock_->now_ns();
   queue_capacity_ = queue_capacity;
   slots_.clear();
-  aggregators_.clear();
-  next_window_ = 0;
   for (int i = 0; i < shards; ++i) {
     slots_.push_back(std::make_unique<ShardSlot>());
-    aggregators_.emplace_back(0, config_.window_capacity);
   }
+  shard_windows_.clear();
+  shard_windows_.resize(static_cast<std::size_t>(shards));
+  total_window_ = obs::RollingWindow<obs::LiveCumulative>();
 }
 
 std::uint64_t LiveTelemetry::now_ns() {
@@ -38,67 +36,47 @@ std::uint64_t LiveTelemetry::now_ns() {
   return now >= start_ns_ ? now - start_ns_ : 0;
 }
 
-void LiveTelemetry::on_submit(int shard, std::int64_t depth_after) {
-  on_submit(shard, 1, depth_after);
-}
-
 void LiveTelemetry::on_submit(int shard, std::int64_t count,
                               std::int64_t depth_after) {
   ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.submitted.fetch_add(count, std::memory_order_relaxed);
-  slot.depth.store(depth_after, std::memory_order_relaxed);
-  std::int64_t seen = slot.window_watermark.load(std::memory_order_relaxed);
-  while (depth_after > seen &&
-         !slot.window_watermark.compare_exchange_weak(
-             seen, depth_after, std::memory_order_relaxed)) {
-  }
-  seen = slot.high_watermark.load(std::memory_order_relaxed);
-  while (depth_after > seen &&
-         !slot.high_watermark.compare_exchange_weak(
-             seen, depth_after, std::memory_order_relaxed)) {
-  }
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  obs::LiveCumulative& totals = slot.totals;
+  totals.submitted += count;
+  totals.queue_depth = depth_after;
+  totals.queue_watermark = std::max(totals.queue_watermark, depth_after);
+  totals.queue_high_watermark =
+      std::max(totals.queue_high_watermark, depth_after);
 }
 
-void LiveTelemetry::on_reject(int shard) { on_reject(shard, 1); }
-
 void LiveTelemetry::on_reject(int shard, std::int64_t count) {
-  slots_[static_cast<std::size_t>(shard)]->rejected.fetch_add(
-      count, std::memory_order_relaxed);
+  ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  slot.totals.rejected += count;
 }
 
 void LiveTelemetry::on_process(int shard, std::uint64_t queue_wait_ns,
                                std::int64_t depth_after) {
   ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.processed.fetch_add(1, std::memory_order_relaxed);
-  slot.depth.store(depth_after, std::memory_order_relaxed);
-  slot.queue_wait.record_ns(queue_wait_ns);
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  ++slot.totals.processed;
+  slot.totals.queue_depth = depth_after;
+  slot.totals.queue_wait.record_ns(queue_wait_ns);
 }
 
 void LiveTelemetry::on_round_close(int shard,
                                    std::uint64_t round_latency_ns) {
   ShardSlot& slot = *slots_[static_cast<std::size_t>(shard)];
-  slot.rounds_closed.fetch_add(1, std::memory_order_relaxed);
-  slot.round_latency.record_ns(round_latency_ns);
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  ++slot.totals.rounds_closed;
+  slot.totals.round_latency.record_ns(round_latency_ns);
 }
 
-obs::LiveCumulative LiveTelemetry::sample_shard(ShardSlot& slot,
-                                                std::uint64_t at_ns) {
-  obs::LiveCumulative sample;
-  sample.at_ns = at_ns;
-  sample.submitted = slot.submitted.load(std::memory_order_relaxed);
-  sample.processed = slot.processed.load(std::memory_order_relaxed);
-  sample.rejected = slot.rejected.load(std::memory_order_relaxed);
-  sample.rounds_closed = slot.rounds_closed.load(std::memory_order_relaxed);
-  sample.queue_depth = slot.depth.load(std::memory_order_relaxed);
-  // The window watermark resets to the current depth, not zero: a queue
+obs::LiveCumulative LiveTelemetry::sample(ShardSlot& slot, bool close_window) {
+  const std::lock_guard<std::mutex> lock(slot.mutex);
+  obs::LiveCumulative sample = slot.totals;
+  // The window watermark restarts at the current depth, not zero: a queue
   // that stays backlogged across a whole window must still show it.
-  sample.window_watermark =
-      slot.window_watermark.exchange(sample.queue_depth,
-                                     std::memory_order_relaxed);
-  sample.queue_high_watermark =
-      slot.high_watermark.load(std::memory_order_relaxed);
-  sample.queue_wait = slot.queue_wait.snapshot();
-  sample.round_latency = slot.round_latency.snapshot();
+  if (close_window) slot.totals.queue_watermark = slot.totals.queue_depth;
   return sample;
 }
 
@@ -106,66 +84,29 @@ ServeSnapshot LiveTelemetry::take_snapshot() {
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
   const std::uint64_t now = now_ns();
   ServeSnapshot snapshot;
-  snapshot.window = next_window_++;
-  snapshot.at_ns = now;
-  snapshot.total.index = snapshot.window;
-  snapshot.total.end_ns = now;
-  snapshot.total.begin_ns = now;
-  snapshot.shards.reserve(slots_.size());
+  obs::LiveCumulative total;
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    ShardWindow shard;
-    shard.shard = static_cast<int>(i);
-    shard.window = aggregators_[i].roll(sample_shard(*slots_[i], now));
-    shard.state = obs::classify_health(aggregators_[i].windows(),
-                                       queue_capacity_, config_.health);
+    const obs::LiveCumulative record = sample(*slots_[i], true);
+    total += record;
+    ShardWindow shard{obs::HealthState::kHealthy,
+                      shard_windows_[i].roll(now, record)};
+    shard.state =
+        obs::classify_health(shard_windows_[i].windows(), queue_capacity_);
     snapshot.state = obs::worse(snapshot.state, shard.state);
-    snapshot.total.begin_ns =
-        std::min(snapshot.total.begin_ns, shard.window.begin_ns);
-    snapshot.total.submitted += shard.window.submitted;
-    snapshot.total.processed += shard.window.processed;
-    snapshot.total.rejected += shard.window.rejected;
-    snapshot.total.rounds_closed += shard.window.rounds_closed;
-    snapshot.total.queue_depth += shard.window.queue_depth;
-    snapshot.total.queue_watermark =
-        std::max(snapshot.total.queue_watermark, shard.window.queue_watermark);
-    snapshot.total.queue_wait.merge(shard.window.queue_wait);
-    snapshot.total.round_latency.merge(shard.window.round_latency);
     snapshot.shards.push_back(std::move(shard));
   }
-  const double seconds = snapshot.total.seconds();
-  if (seconds > 0.0) {
-    snapshot.total.events_per_sec =
-        static_cast<double>(snapshot.total.processed) / seconds;
-    snapshot.total.rounds_per_sec =
-        static_cast<double>(snapshot.total.rounds_closed) / seconds;
-  }
-  const std::int64_t offered =
-      snapshot.total.submitted + snapshot.total.rejected;
-  if (offered > 0) {
-    snapshot.total.reject_rate =
-        static_cast<double>(snapshot.total.rejected) /
-        static_cast<double>(offered);
-  }
+  snapshot.total = total_window_.roll(now, total);
   return snapshot;
 }
 
-LiveSummary LiveTelemetry::summary() {
+LiveWindow LiveTelemetry::summary() {
   const std::lock_guard<std::mutex> lock(snapshot_mutex_);
-  LiveSummary total;
-  total.uptime_ns = now_ns();
+  LiveWindow run;
+  run.end_ns = now_ns();
   for (const std::unique_ptr<ShardSlot>& slot : slots_) {
-    total.submitted += slot->submitted.load(std::memory_order_relaxed);
-    total.processed += slot->processed.load(std::memory_order_relaxed);
-    total.rejected += slot->rejected.load(std::memory_order_relaxed);
-    total.rounds_closed +=
-        slot->rounds_closed.load(std::memory_order_relaxed);
-    total.queue_high_watermark =
-        std::max(total.queue_high_watermark,
-                 slot->high_watermark.load(std::memory_order_relaxed));
-    total.queue_wait.merge(slot->queue_wait.snapshot());
-    total.round_latency.merge(slot->round_latency.snapshot());
+    run.delta += sample(*slot, false);
   }
-  return total;
+  return run;
 }
 
 // -------------------------------------------------------- JSONL rendering
@@ -193,39 +134,40 @@ void write_latency_fields(io::JsonWriter& json, std::string_view prefix,
 }  // namespace
 
 void write_serve_snapshot(std::ostream& os, const ServeSnapshot& snapshot) {
+  const LiveWindow& total = snapshot.total;
   {
     io::JsonWriter json(os);
     json.begin_object();
     json.field("schema", "mcs.serve_stats.v1");
-    json.field("window", snapshot.window);
-    json.field("at_ms", to_ms(snapshot.at_ns));
-    json.field("span_ms",
-               to_ms(snapshot.total.end_ns - snapshot.total.begin_ns));
+    json.field("window", total.index);
+    json.field("at_ms", to_ms(total.end_ns));
+    json.field("span_ms", to_ms(total.end_ns - total.begin_ns));
     json.field("state", obs::to_string(snapshot.state));
-    json.field("submitted", snapshot.total.submitted);
-    json.field("processed", snapshot.total.processed);
-    json.field("rejected", snapshot.total.rejected);
-    json.field("reject_rate", snapshot.total.reject_rate);
-    json.field("rounds_closed", snapshot.total.rounds_closed);
-    json.field("events_per_sec", snapshot.total.events_per_sec);
-    json.field("rounds_per_sec", snapshot.total.rounds_per_sec);
-    write_latency_fields(json, "round_close", snapshot.total.round_latency);
-    write_latency_fields(json, "queue_wait", snapshot.total.queue_wait);
-    json.field("queue_depth", snapshot.total.queue_depth);
-    json.field("queue_watermark", snapshot.total.queue_watermark);
+    json.field("submitted", total.delta.submitted);
+    json.field("processed", total.delta.processed);
+    json.field("rejected", total.delta.rejected);
+    json.field("reject_rate", total.delta.reject_rate());
+    json.field("rounds_closed", total.delta.rounds_closed);
+    json.field("events_per_sec", total.per_second(total.delta.processed));
+    json.field("rounds_per_sec", total.per_second(total.delta.rounds_closed));
+    write_latency_fields(json, "round_close", total.delta.round_latency);
+    write_latency_fields(json, "queue_wait", total.delta.queue_wait);
+    json.field("queue_depth", total.delta.queue_depth);
+    json.field("queue_watermark", total.delta.queue_watermark);
     json.key("shards");
     json.begin_array();
-    for (const ShardWindow& shard : snapshot.shards) {
+    for (std::size_t i = 0; i < snapshot.shards.size(); ++i) {
+      const ShardWindow& shard = snapshot.shards[i];
+      const obs::LiveCumulative& delta = shard.window.delta;
       json.begin_object();
-      json.field("shard", static_cast<std::int64_t>(shard.shard));
+      json.field("shard", static_cast<std::int64_t>(i));
       json.field("state", obs::to_string(shard.state));
-      json.field("processed", shard.window.processed);
-      json.field("rejected", shard.window.rejected);
-      json.field("events_per_sec", shard.window.events_per_sec);
-      json.field("queue_depth", shard.window.queue_depth);
-      json.field("queue_watermark", shard.window.queue_watermark);
-      json.field("round_close_p99_us",
-                 shard.window.round_latency.quantile_us(0.99));
+      json.field("processed", delta.processed);
+      json.field("rejected", delta.rejected);
+      json.field("events_per_sec", shard.window.per_second(delta.processed));
+      json.field("queue_depth", delta.queue_depth);
+      json.field("queue_watermark", delta.queue_watermark);
+      json.field("round_close_p99_us", delta.round_latency.quantile_us(0.99));
       json.end_object();
     }
     json.end_array();
@@ -237,55 +179,53 @@ void write_serve_snapshot(std::ostream& os, const ServeSnapshot& snapshot) {
 // --------------------------------------------------- Prometheus rendering
 
 void render_live_prometheus(std::ostream& os, const ServeSnapshot& snapshot) {
+  const LiveWindow& total = snapshot.total;
   obs::MetricsRegistry registry;
   const auto gauge = [&](const std::string& name, double value,
                          std::string_view help = {}) {
     if (std::isfinite(value)) registry.gauge(name, help).set(value);
   };
-  gauge("serve.live.window", static_cast<double>(snapshot.window),
+  gauge("serve.live.window", static_cast<double>(total.index),
         "monotone snapshot window index");
   gauge("serve.live.state", static_cast<double>(snapshot.state),
         "health severity: 0 healthy, 1 saturated, 2 shedding, 3 stalled, "
         "4 degraded-economics");
-  gauge("serve.live.events_per_sec", snapshot.total.events_per_sec,
+  gauge("serve.live.events_per_sec", total.per_second(total.delta.processed),
         "events processed per second in the last window");
-  gauge("serve.live.rounds_per_sec", snapshot.total.rounds_per_sec,
+  gauge("serve.live.rounds_per_sec",
+        total.per_second(total.delta.rounds_closed),
         "rounds closed per second in the last window");
-  gauge("serve.live.reject_rate", snapshot.total.reject_rate,
+  gauge("serve.live.reject_rate", total.delta.reject_rate(),
         "fraction of offered events shed in the last window");
-  gauge("serve.live.queue_depth",
-        static_cast<double>(snapshot.total.queue_depth),
+  gauge("serve.live.queue_depth", static_cast<double>(total.delta.queue_depth),
         "queued events across all shards at the window edge");
   gauge("serve.live.queue_watermark",
-        static_cast<double>(snapshot.total.queue_watermark),
+        static_cast<double>(total.delta.queue_watermark),
         "highest shard queue depth within the last window");
   gauge("serve.live.round_close_p50_us",
-        snapshot.total.round_latency.quantile_us(0.50),
+        total.delta.round_latency.quantile_us(0.50),
         "round open->close wall latency, window p50");
   gauge("serve.live.round_close_p99_us",
-        snapshot.total.round_latency.quantile_us(0.99),
+        total.delta.round_latency.quantile_us(0.99),
         "round open->close wall latency, window p99");
   gauge("serve.live.queue_wait_p99_us",
-        snapshot.total.queue_wait.quantile_us(0.99),
+        total.delta.queue_wait.quantile_us(0.99),
         "submit->process queue wait, window p99");
-  for (const ShardWindow& shard : snapshot.shards) {
-    const std::string prefix =
-        "serve.live.shard." + std::to_string(shard.shard) + ".";
+  for (std::size_t i = 0; i < snapshot.shards.size(); ++i) {
+    const ShardWindow& shard = snapshot.shards[i];
+    const std::string prefix = "serve.live.shard." + std::to_string(i) + ".";
     gauge(prefix + "state", static_cast<double>(shard.state));
     gauge(prefix + "queue_depth",
-          static_cast<double>(shard.window.queue_depth));
+          static_cast<double>(shard.window.delta.queue_depth));
     gauge(prefix + "queue_watermark",
-          static_cast<double>(shard.window.queue_watermark));
-    gauge(prefix + "events_per_sec", shard.window.events_per_sec);
+          static_cast<double>(shard.window.delta.queue_watermark));
+    gauge(prefix + "events_per_sec",
+          shard.window.per_second(shard.window.delta.processed));
   }
   obs::write_prometheus(os, registry);
 }
 
 // --------------------------------------------------------- StatsPublisher
-
-StatsPublisher::StatsPublisher(LiveTelemetry& live, std::ostream& os,
-                               std::chrono::milliseconds period)
-    : StatsPublisher(live, os, period, nullptr, nullptr) {}
 
 StatsPublisher::StatsPublisher(LiveTelemetry& live, std::ostream& os,
                                std::chrono::milliseconds period,
@@ -318,10 +258,12 @@ void StatsPublisher::stop() {
 }
 
 void StatsPublisher::publish() {
-  write_serve_snapshot(os_, live_.take_snapshot());
+  last_ = live_.take_snapshot();
+  write_serve_snapshot(os_, last_);
   os_.flush();
   if (econ_ != nullptr && econ_os_ != nullptr) {
-    write_econ_snapshot(*econ_os_, econ_->take_snapshot());
+    last_econ_ = econ_->take_snapshot();
+    write_econ_snapshot(*econ_os_, *last_econ_);
     econ_os_->flush();
   }
   written_.fetch_add(1, std::memory_order_relaxed);

@@ -9,10 +9,11 @@
 // on must not change a single deterministic counter (pinned by
 // serve_telemetry_test).
 //
-// Wiring: the engine calls the on_* hooks (a few relaxed atomics each)
-// when a LiveTelemetry is installed in its ServeConfig; a StatsPublisher
-// thread periodically calls take_snapshot(), which rolls one window per
-// shard (obs::RollingWindowAggregator), classifies shard and engine health
+// Wiring: the engine calls the on_* hooks (each updates its shard's
+// obs::LiveCumulative record under the shard's lock) when a LiveTelemetry
+// is installed in its ServeConfig; a StatsPublisher thread periodically
+// calls take_snapshot(), which rolls one obs::RollingWindow per shard and
+// one over their sum, classifies shard and engine health
 // (obs::classify_health), and emits one JSONL line of schema
 // "mcs.serve_stats.v1" (write_serve_snapshot) and/or a Prometheus text
 // rendering (render_live_prometheus, via the existing exporter). Time
@@ -26,6 +27,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <ostream>
 #include <thread>
 #include <vector>
@@ -33,51 +35,31 @@
 #include "obs/latency_sketch.hpp"
 #include "obs/rolling_window.hpp"
 #include "obs/wallclock.hpp"
+#include "serve/econ_telemetry.hpp"
 
 namespace mcs::serve {
 
 struct LiveTelemetryConfig {
   /// Time source; nullptr = the process steady clock.
   obs::MonotonicClock* clock = nullptr;
-  /// Rolling windows retained per shard (health dwell looks at the tail).
-  std::size_t window_capacity = 64;
-  obs::HealthConfig health;
 };
+
+using LiveWindow = obs::Window<obs::LiveCumulative>;
 
 /// One shard's share of a snapshot window.
 struct ShardWindow {
-  int shard{0};
   obs::HealthState state{obs::HealthState::kHealthy};
-  obs::WindowStats window;
+  LiveWindow window;
 };
 
-/// One published snapshot: the per-shard windows plus their engine-wide
-/// aggregate. `window` is a monotone index; all times are uptime-relative
+/// One published snapshot: the per-shard windows (indexed by shard) plus
+/// the engine-wide window over the sum of the shard records. `total.index`
+/// is the monotone snapshot number; all times are uptime-relative
 /// (nanoseconds since attach), so fake-clock runs are reproducible.
 struct ServeSnapshot {
-  std::int64_t window{0};
-  std::uint64_t at_ns{0};  ///< window end, relative to attach
   obs::HealthState state{obs::HealthState::kHealthy};  ///< worst shard
-  obs::WindowStats total;  ///< sums/merges across shards
+  LiveWindow total;
   std::vector<ShardWindow> shards;
-};
-
-/// Whole-run totals for the end-of-run summary line.
-struct LiveSummary {
-  std::uint64_t uptime_ns{0};
-  std::int64_t submitted{0};
-  std::int64_t processed{0};
-  std::int64_t rejected{0};
-  std::int64_t rounds_closed{0};
-  std::int64_t queue_high_watermark{0};
-  obs::LatencySketchSnapshot queue_wait;     ///< cumulative, all shards
-  obs::LatencySketchSnapshot round_latency;  ///< cumulative, all shards
-
-  [[nodiscard]] double events_per_sec() const {
-    return uptime_ns == 0 ? 0.0
-                          : static_cast<double>(processed) /
-                                (static_cast<double>(uptime_ns) / 1e9);
-  }
 };
 
 class LiveTelemetry {
@@ -96,51 +78,49 @@ class LiveTelemetry {
   /// Uptime timestamp (ns since attach) from the injected clock.
   [[nodiscard]] std::uint64_t now_ns();
 
-  // Engine hooks. Thread-safe, wait-free (relaxed atomics only). The
-  // count-taking overloads serve the batched handoff path: one call per
-  // batch, counted as `count` events at the batch's depth-after (the exact
-  // instantaneous occupancy -- batch pushes are all-or-nothing).
-  void on_submit(int shard, std::int64_t depth_after);
+  // Engine hooks. Thread-safe: each updates its shard's record under that
+  // shard's lock. A handoff of `count` events is recorded once, at the
+  // batch's depth-after (the exact instantaneous occupancy -- batch pushes
+  // are all-or-nothing).
   void on_submit(int shard, std::int64_t count, std::int64_t depth_after);
-  void on_reject(int shard);
   void on_reject(int shard, std::int64_t count);
   void on_process(int shard, std::uint64_t queue_wait_ns,
                   std::int64_t depth_after);
   void on_round_close(int shard, std::uint64_t round_latency_ns);
 
-  /// Rolls one window per shard and aggregates. Serialized internally, so
-  /// the publisher thread and a final end-of-run call cannot interleave.
+  /// Rolls one window per shard and one over their sum, and classifies
+  /// health. Serialized internally, so the publisher thread and a final
+  /// end-of-run call cannot interleave.
   [[nodiscard]] ServeSnapshot take_snapshot();
 
-  /// Whole-run cumulative totals (merged across shards).
-  [[nodiscard]] LiveSummary summary();
+  /// The whole run since attach as one window over the sum of the shard
+  /// records (index 0). Leaves the snapshot windows untouched.
+  [[nodiscard]] LiveWindow summary();
 
  private:
-  /// Written by producers (on_submit/on_reject) and the shard worker
-  /// (on_process/on_round_close); read by the snapshot thread.
+  /// One shard's record, written by producers (on_submit/on_reject) and
+  /// the shard worker (on_process/on_round_close), read by the sampler.
   struct ShardSlot {
-    std::atomic<std::int64_t> submitted{0};
-    std::atomic<std::int64_t> processed{0};
-    std::atomic<std::int64_t> rejected{0};
-    std::atomic<std::int64_t> rounds_closed{0};
-    std::atomic<std::int64_t> depth{0};
-    std::atomic<std::int64_t> window_watermark{0};  ///< reset per snapshot
-    std::atomic<std::int64_t> high_watermark{0};
-    obs::LatencySketch queue_wait;
-    obs::LatencySketch round_latency;
+    ShardSlot() {
+      totals.queue_wait.reserve_buckets();
+      totals.round_latency.reserve_buckets();
+    }
+    std::mutex mutex;
+    obs::LiveCumulative totals;
   };
 
-  [[nodiscard]] obs::LiveCumulative sample_shard(ShardSlot& slot,
-                                                 std::uint64_t at_ns);
+  /// A copy of the slot's record; `close_window` restarts its window
+  /// watermark.
+  [[nodiscard]] static obs::LiveCumulative sample(ShardSlot& slot,
+                                                  bool close_window);
 
-  LiveTelemetryConfig config_;
   obs::MonotonicClock* clock_;
   std::uint64_t start_ns_{0};
   std::int64_t queue_capacity_{0};
   std::vector<std::unique_ptr<ShardSlot>> slots_;
-  std::mutex snapshot_mutex_;  ///< guards aggregators_ + next_window_
-  std::vector<obs::RollingWindowAggregator> aggregators_;
-  std::int64_t next_window_{0};
+  std::mutex snapshot_mutex_;  ///< guards the rolling windows below
+  std::vector<obs::RollingWindow<obs::LiveCumulative>> shard_windows_;
+  obs::RollingWindow<obs::LiveCumulative> total_window_;
 };
 
 /// One "mcs.serve_stats.v1" JSONL line (newline-terminated). Every line is
@@ -152,17 +132,14 @@ void write_serve_snapshot(std::ostream& os, const ServeSnapshot& snapshot);
 /// (gauges named serve.live.*; health states as their severity rank).
 void render_live_prometheus(std::ostream& os, const ServeSnapshot& snapshot);
 
-class EconTelemetry;  // serve/econ_telemetry.hpp
-
 /// Background snapshot thread: every `period` it takes a snapshot and
 /// appends one JSONL line to `os`. stop() (and the destructor) publishes
 /// one final tail window so short runs still emit at least one line.
 /// When an EconTelemetry and its stream are supplied, each tick publishes
-/// the econ plane too ("mcs.serve_econ.v1" lines, same cadence).
+/// the econ plane too ("mcs.serve_econ.v1" lines, same cadence); either
+/// may be nullptr.
 class StatsPublisher {
  public:
-  StatsPublisher(LiveTelemetry& live, std::ostream& os,
-                 std::chrono::milliseconds period);
   StatsPublisher(LiveTelemetry& live, std::ostream& os,
                  std::chrono::milliseconds period, EconTelemetry* econ,
                  std::ostream* econ_os);
@@ -174,6 +151,14 @@ class StatsPublisher {
   void stop();
   [[nodiscard]] std::int64_t snapshots_written() const {
     return written_.load(std::memory_order_relaxed);
+  }
+  /// The snapshots stop() published last: the tail that a final rendering
+  /// (e.g. Prometheus text) must agree with. The econ one is empty when
+  /// no econ stream was supplied. Valid after stop().
+  [[nodiscard]] const ServeSnapshot& final_snapshot() const { return last_; }
+  [[nodiscard]] const std::optional<EconSnapshot>& final_econ_snapshot()
+      const {
+    return last_econ_;
   }
 
  private:
@@ -189,6 +174,8 @@ class StatsPublisher {
   bool stopping_{false};
   bool stopped_{false};
   std::atomic<std::int64_t> written_{0};
+  ServeSnapshot last_;  ///< written by publish() only
+  std::optional<EconSnapshot> last_econ_;
   std::thread thread_;
 };
 

@@ -26,17 +26,31 @@ TracePlane::TracePlane(TracePlaneConfig config)
       clock_(config.clock != nullptr ? config.clock : &obs::steady_clock()),
       exemplars_(config.exemplar_threshold_ns) {}
 
+TraceSummary& TraceSummary::operator+=(const TraceSummary& other) {
+  rounds_traced += other.rounds_traced;
+  rounds_completed += other.rounds_completed;
+  retained += other.retained;
+  retained_slow += other.retained_slow;
+  retained_econ += other.retained_econ;
+  retained_error += other.retained_error;
+  dropped += other.dropped;
+  retained_evicted += other.retained_evicted;
+  spans_truncated += other.spans_truncated;
+  slow_threshold_ns = std::max(slow_threshold_ns, other.slow_threshold_ns);
+  for (std::size_t p = 0; p < phases.size(); ++p) {
+    phases[p].merge(other.phases[p]);
+  }
+  return *this;
+}
+
 void TracePlane::attach(int shards) {
   MCS_EXPECTS(shards >= 1, "trace plane: shards must be >= 1");
   lanes_.clear();
   lanes_.reserve(static_cast<std::size_t>(shards));
   for (int i = 0; i < shards; ++i) {
     lanes_.push_back(std::make_unique<Lane>(config_));
-    if (config_.slow_threshold_ns != 0) {
-      lanes_.back()->auto_threshold_ns = config_.slow_threshold_ns;
-      lanes_.back()->effective_threshold_ns.store(config_.slow_threshold_ns,
-                                                  std::memory_order_relaxed);
-    }
+    lanes_.back()->totals.slow_threshold_ns =
+        config_.slow_threshold_ns != 0 ? config_.slow_threshold_ns : ~0ULL;
   }
   start_ns_ = clock_->now_ns();
 }
@@ -49,10 +63,9 @@ std::uint64_t TracePlane::now_ns() {
 void TracePlane::on_event(int shard, std::uint64_t queue_wait_ns,
                           std::uint64_t client_lag_ns) {
   Lane& lane = *lanes_[static_cast<std::size_t>(shard)];
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kQueueWait)]
-      .record_ns(queue_wait_ns);
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kIngest)]
-      .record_ns(client_lag_ns);
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  lane.totals.phase(obs::TracePhase::kQueueWait).record_ns(queue_wait_ns);
+  lane.totals.phase(obs::TracePhase::kIngest).record_ns(client_lag_ns);
 }
 
 void TracePlane::on_round_open(int shard, std::int64_t round,
@@ -75,7 +88,8 @@ void TracePlane::on_round_open(int shard, std::int64_t round,
   trace.add_span(obs::TracePhase::kQueueWait, -1, enqueue_ns,
                  std::max(begin_ns, enqueue_ns), config_.max_spans);
   lane.open.insert_or_assign(round, std::move(trace));
-  lane.rounds_traced.fetch_add(1, std::memory_order_relaxed);
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  ++lane.totals.rounds_traced;
 }
 
 void TracePlane::on_slot_tick(int shard, std::int64_t round, std::int32_t slot,
@@ -85,7 +99,8 @@ void TracePlane::on_slot_tick(int shard, std::int64_t round, std::int32_t slot,
   if (it == lane.open.end()) return;
   it->second.add_span(obs::TracePhase::kSlotTick, slot, begin_ns, end_ns,
                       config_.max_spans);
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kSlotTick)]
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  lane.totals.phase(obs::TracePhase::kSlotTick)
       .record_ns(end_ns >= begin_ns ? end_ns - begin_ns : 0);
 }
 
@@ -117,34 +132,36 @@ void TracePlane::on_round_complete(int shard, std::int64_t round,
   trace.latency_ns =
       close_begin_ns >= trace.open_ns ? close_begin_ns - trace.open_ns : 0;
 
-  lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kPayment)]
-      .record_ns(settled_ns >= close_begin_ns ? settled_ns - close_begin_ns
-                                              : 0);
-  if (done_ns > settled_ns) {
-    lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kAudit)]
-        .record_ns(done_ns - settled_ns);
-  }
-  auto& close_sketch =
-      lane.phase_sketch[static_cast<std::size_t>(obs::TracePhase::kRoundClose)];
-  close_sketch.record_ns(trace.latency_ns);
-  lane.rounds_completed.fetch_add(1, std::memory_order_relaxed);
+  unsigned reasons = 0;
+  {
+    const std::lock_guard<std::mutex> lock(lane.mutex);
+    TraceSummary& totals = lane.totals;
+    totals.phase(obs::TracePhase::kPayment)
+        .record_ns(settled_ns >= close_begin_ns ? settled_ns - close_begin_ns
+                                                : 0);
+    if (done_ns > settled_ns) {
+      totals.phase(obs::TracePhase::kAudit).record_ns(done_ns - settled_ns);
+    }
+    obs::LatencySketchSnapshot& closes =
+        totals.phase(obs::TracePhase::kRoundClose);
+    closes.record_ns(trace.latency_ns);
+    ++totals.rounds_completed;
 
-  // Tail sampler. In auto mode the threshold trails the shard's own p99
-  // round latency (refreshed every few closes after a warm-up).
-  if (config_.slow_threshold_ns == 0) {
-    if (++lane.closes_since_refresh >= kAutoRefreshEvery) {
+    // Tail sampler. In auto mode the threshold trails the shard's own p99
+    // round latency (refreshed every few closes after a warm-up).
+    if (config_.slow_threshold_ns == 0 &&
+        ++lane.closes_since_refresh >= kAutoRefreshEvery) {
       lane.closes_since_refresh = 0;
-      if (close_sketch.count() >= kAutoWarmupSamples) {
-        const double p99 = close_sketch.snapshot().quantile_ns(0.99);
-        lane.auto_threshold_ns =
+      if (closes.count >= kAutoWarmupSamples) {
+        const double p99 = closes.quantile_ns(0.99);
+        totals.slow_threshold_ns =
             p99 > 0.0 ? static_cast<std::uint64_t>(p99) : ~0ULL;
-        lane.effective_threshold_ns.store(lane.auto_threshold_ns,
-                                          std::memory_order_relaxed);
       }
     }
+    if (trace.latency_ns >= totals.slow_threshold_ns) {
+      reasons |= obs::retain::kSlow;
+    }
   }
-  unsigned reasons = 0;
-  if (trace.latency_ns >= lane.auto_threshold_ns) reasons |= obs::retain::kSlow;
   if (econ_violations > 0) reasons |= obs::retain::kEconViolation;
 
   exemplars_.offer(trace.latency_ns, trace.trace_id, round);
@@ -178,8 +195,9 @@ void TracePlane::on_orphaned_event(int shard, std::int64_t round,
   trace.shard = shard;
   trace.status = obs::TraceStatus::kOrphaned;
   trace.open_ns = at_ns;
-  lane.rounds_traced.fetch_add(1, std::memory_order_relaxed);
   lane.open.insert_or_assign(round, std::move(trace));
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  ++lane.totals.rounds_traced;
 }
 
 void TracePlane::on_worker_exit(int shard, std::uint64_t at_ns) {
@@ -208,59 +226,30 @@ void TracePlane::seal(Lane& lane, obs::RoundTrace trace,
                       unsigned extra_reasons) {
   trace.retained |= extra_reasons;
   const unsigned reasons = trace.retained;
-  lane.spans_truncated.fetch_add(trace.spans_dropped,
-                                 std::memory_order_relaxed);
+  const auto spans_dropped = static_cast<std::int64_t>(trace.spans_dropped);
+  const bool evicted_pinned =
+      lane.ring.push(std::move(trace), reasons != 0).evicted_pinned;
+
+  const std::lock_guard<std::mutex> lock(lane.mutex);
+  TraceSummary& totals = lane.totals;
+  totals.spans_truncated += spans_dropped;
   if (reasons != 0) {
-    lane.retained.fetch_add(1, std::memory_order_relaxed);
-    if ((reasons & obs::retain::kSlow) != 0) {
-      lane.retained_slow.fetch_add(1, std::memory_order_relaxed);
-    }
-    if ((reasons & obs::retain::kEconViolation) != 0) {
-      lane.retained_econ.fetch_add(1, std::memory_order_relaxed);
-    }
-    if ((reasons & obs::retain::kError) != 0) {
-      lane.retained_error.fetch_add(1, std::memory_order_relaxed);
-    }
+    ++totals.retained;
+    if ((reasons & obs::retain::kSlow) != 0) ++totals.retained_slow;
+    if ((reasons & obs::retain::kEconViolation) != 0) ++totals.retained_econ;
+    if ((reasons & obs::retain::kError) != 0) ++totals.retained_error;
   } else {
-    lane.dropped.fetch_add(1, std::memory_order_relaxed);
+    ++totals.dropped;
   }
-  const obs::TraceRing::PushResult push =
-      lane.ring.push(std::move(trace), reasons != 0);
-  if (push.evicted_pinned) {
-    lane.retained_evicted.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (evicted_pinned) ++totals.retained_evicted;
 }
 
 TraceSummary TracePlane::summary() const {
   TraceSummary out;
-  out.slow_threshold_ns = 0;
-  for (std::size_t p = 0; p < obs::kTracePhaseCount; ++p) {
-    out.phases[p].phase = static_cast<obs::TracePhase>(p);
-  }
   for (const auto& lane : lanes_) {
-    out.rounds_traced += lane->rounds_traced.load(std::memory_order_relaxed);
-    out.rounds_completed +=
-        lane->rounds_completed.load(std::memory_order_relaxed);
-    out.retained += lane->retained.load(std::memory_order_relaxed);
-    out.retained_slow +=
-        lane->retained_slow.load(std::memory_order_relaxed);
-    out.retained_econ +=
-        lane->retained_econ.load(std::memory_order_relaxed);
-    out.retained_error +=
-        lane->retained_error.load(std::memory_order_relaxed);
-    out.dropped += lane->dropped.load(std::memory_order_relaxed);
-    out.retained_evicted +=
-        lane->retained_evicted.load(std::memory_order_relaxed);
-    out.spans_truncated +=
-        lane->spans_truncated.load(std::memory_order_relaxed);
-    out.slow_threshold_ns =
-        std::max(out.slow_threshold_ns,
-                 lane->effective_threshold_ns.load(std::memory_order_relaxed));
-    for (std::size_t p = 0; p < obs::kTracePhaseCount; ++p) {
-      out.phases[p].sketch.merge(lane->phase_sketch[p].snapshot());
-    }
+    const std::lock_guard<std::mutex> lock(lane->mutex);
+    out += lane->totals;
   }
-  if (lanes_.empty()) out.slow_threshold_ns = ~0ULL;
   return out;
 }
 
@@ -355,17 +344,19 @@ void write_trace_stream(std::ostream& os, const TracePlane& plane) {
       json.value(i64(summary.slow_threshold_ns));
     }
     json.key("phases").begin_object();
-    for (const TracePhaseSummary& phase : summary.phases) {
-      json.key(obs::to_string(phase.phase)).begin_object();
-      json.field("count", static_cast<std::int64_t>(phase.sketch.count));
-      if (phase.sketch.empty()) {
+    for (std::size_t p = 0; p < summary.phases.size(); ++p) {
+      const obs::LatencySketchSnapshot& sketch = summary.phases[p];
+      json.key(obs::to_string(static_cast<obs::TracePhase>(p)))
+          .begin_object();
+      json.field("count", static_cast<std::int64_t>(sketch.count));
+      if (sketch.empty()) {
         json.key("p50_ns").null();
         json.key("p99_ns").null();
         json.field("max_ns", std::int64_t{0});
       } else {
-        json.field("p50_ns", phase.sketch.quantile_ns(0.50));
-        json.field("p99_ns", phase.sketch.quantile_ns(0.99));
-        json.field("max_ns", i64(phase.sketch.max_ns));
+        json.field("p50_ns", sketch.quantile_ns(0.50));
+        json.field("p99_ns", sketch.quantile_ns(0.99));
+        json.field("max_ns", i64(sketch.max_ns));
       }
       json.end_object();
     }

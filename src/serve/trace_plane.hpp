@@ -10,8 +10,8 @@
 //
 // Quarantine discipline is identical to LiveTelemetry: the engine's
 // hooks record into per-shard state owned by that shard's worker (plain
-// writes, no locks) plus relaxed-atomic summary counters and latency
-// sketches -- never a MetricsRegistry counter. Trace-on vs trace-off
+// writes, no locks) plus the lane's TraceSummary record under the lane's
+// lock -- never a MetricsRegistry counter. Trace-on vs trace-off
 // leaves the deterministic merge bit-identical (pinned by
 // serve_trace_test, same discipline as serve_telemetry_test).
 //
@@ -37,9 +37,9 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <ostream>
 #include <string>
 #include <unordered_map>
@@ -67,14 +67,9 @@ struct TracePlaneConfig {
   std::uint64_t exemplar_threshold_ns = 1'000'000;  // 1 ms
 };
 
-/// Aggregated view of one phase across all shards (cumulative sketch).
-struct TracePhaseSummary {
-  obs::TracePhase phase{obs::TracePhase::kQueueWait};
-  obs::LatencySketchSnapshot sketch;
-};
-
-/// Whole-run totals for the end-of-run summary line and the JSONL
-/// summary record.
+/// The trace plane's counter record: each shard lane keeps one, and
+/// summary() adds them up into the whole-run totals behind the end-of-run
+/// summary line and the JSONL summary record.
 struct TraceSummary {
   std::int64_t rounds_traced{0};     ///< round_open seen (trace started)
   std::int64_t rounds_completed{0};  ///< sealed via round_close
@@ -88,7 +83,14 @@ struct TraceSummary {
   /// Effective slow threshold (max over shards in auto mode; ~0 when the
   /// auto sampler has not warmed up yet).
   std::uint64_t slow_threshold_ns{0};
-  std::array<TracePhaseSummary, obs::kTracePhaseCount> phases;
+  /// Cumulative duration sketch per phase, indexed by obs::TracePhase.
+  std::array<obs::LatencySketchSnapshot, obs::kTracePhaseCount> phases;
+
+  [[nodiscard]] obs::LatencySketchSnapshot& phase(obs::TracePhase p) {
+    return phases[static_cast<std::size_t>(p)];
+  }
+
+  TraceSummary& operator+=(const TraceSummary& other);
 };
 
 class TracePlane {
@@ -111,7 +113,7 @@ class TracePlane {
 
   // Engine hooks. Each shard's timeline state is owned by that shard's
   // worker thread (on_event..on_worker_exit run only there); cross-thread
-  // visibility is limited to the relaxed-atomic counters and sketches.
+  // visibility is limited to the lane's record.
 
   /// Every dequeued event: folds queue wait and client-side ingest lag
   /// into the shard's phase sketches.
@@ -143,9 +145,8 @@ class TracePlane {
   /// (orphan stubs keep their status), always retained.
   void on_worker_exit(int shard, std::uint64_t at_ns);
 
-  /// Whole-run totals + merged per-phase sketches. Safe any time
-  /// (counters and sketches are atomic), but per-phase counts are only
-  /// settled after drain.
+  /// Whole-run totals: the sum of the lanes' records. Safe any time, but
+  /// per-phase counts are only settled after drain.
   [[nodiscard]] TraceSummary summary() const;
 
   /// Retained traces across all shards, sorted by round id. Reads the
@@ -157,33 +158,26 @@ class TracePlane {
   }
 
  private:
-  /// One shard's lane. Timeline state (open, orphans, ring, auto
-  /// threshold) is worker-owned; the atomics and sketches below the
-  /// fence are the cross-thread summary surface.
+  /// One shard's lane. Timeline state (open, orphans, ring, refresh
+  /// countdown) is owned by the shard's worker; the lane's record is
+  /// shared with summary() under `mutex`.
   struct Lane {
     explicit Lane(const TracePlaneConfig& config)
-        : ring(config.ring_capacity) {}
+        : ring(config.ring_capacity) {
+      for (obs::LatencySketchSnapshot& sketch : totals.phases) {
+        sketch.reserve_buckets();
+      }
+    }
 
-    // -- worker-owned ------------------------------------------------
     std::unordered_map<std::int64_t, obs::RoundTrace> open;
     std::unordered_set<std::int64_t> orphan_rounds;  ///< stubs already made
     obs::TraceRing ring;
-    /// Auto-mode threshold, refreshed from the round-close sketch.
-    std::uint64_t auto_threshold_ns{~0ULL};
     std::int64_t closes_since_refresh{0};
 
-    // -- shared (relaxed atomics / concurrent sketches) --------------
-    std::atomic<std::int64_t> rounds_traced{0};
-    std::atomic<std::int64_t> rounds_completed{0};
-    std::atomic<std::int64_t> retained{0};
-    std::atomic<std::int64_t> retained_slow{0};
-    std::atomic<std::int64_t> retained_econ{0};
-    std::atomic<std::int64_t> retained_error{0};
-    std::atomic<std::int64_t> dropped{0};
-    std::atomic<std::int64_t> retained_evicted{0};
-    std::atomic<std::int64_t> spans_truncated{0};
-    std::atomic<std::uint64_t> effective_threshold_ns{~0ULL};
-    std::array<obs::LatencySketch, obs::kTracePhaseCount> phase_sketch;
+    std::mutex mutex;
+    /// `totals.slow_threshold_ns` is the lane's effective threshold,
+    /// refreshed from its round-close sketch in auto mode.
+    TraceSummary totals;
   };
 
   /// Tail sampler + ring push of one sealed trace (worker thread).

@@ -17,7 +17,7 @@
 #include <sstream>
 #include <vector>
 
-#include "analysis/monotonicity.hpp"
+#include "support/monotonicity.hpp"
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
 #include "auction/critical_value.hpp"

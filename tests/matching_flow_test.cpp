@@ -9,9 +9,9 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "matching/brute_force.hpp"
+#include "support/brute_force.hpp"
 #include "matching/hungarian.hpp"
-#include "matching/validation.hpp"
+#include "support/matching_validation.hpp"
 
 namespace mcs::matching {
 namespace {

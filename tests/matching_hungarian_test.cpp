@@ -11,8 +11,8 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "matching/brute_force.hpp"
-#include "matching/validation.hpp"
+#include "support/brute_force.hpp"
+#include "support/matching_validation.hpp"
 
 namespace mcs::matching {
 namespace {

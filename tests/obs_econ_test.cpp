@@ -1,6 +1,6 @@
 // Unit tests for the economic metrics primitives: the pure ratio math
 // (overpayment sigma, Jain fairness, coverage), the micro-ratio sketch
-// encoding, the EconWindowAggregator delta machinery, and the sticky
+// encoding, the econ record under the rolling window, and the sticky
 // degraded-economics health classification.
 #include "obs/econ_metrics.hpp"
 
@@ -53,10 +53,8 @@ TEST(EconMath, RatioSketchUnitsRoundTrip) {
 
 // --------------------------------------------------------------- windows
 
-EconCumulative cumulative_at(std::uint64_t at_ns, std::int64_t rounds,
-                             std::int64_t payment_micros) {
+EconCumulative cumulative_of(std::int64_t rounds, std::int64_t payment_micros) {
   EconCumulative sample;
-  sample.at_ns = at_ns;
   sample.rounds = rounds;
   sample.payment_micros = payment_micros;
   sample.tasks = rounds * 4;
@@ -65,43 +63,42 @@ EconCumulative cumulative_at(std::uint64_t at_ns, std::int64_t rounds,
 }
 
 TEST(EconWindows, AggregatorProducesExactDeltas) {
-  EconWindowAggregator aggregator(0, 8);
-  const EconWindowStats& first =
-      aggregator.roll(cumulative_at(1'000'000'000ULL, 5, 700));
+  RollingWindow<EconCumulative> windows(8);
+  const Window<EconCumulative> first =
+      windows.roll(1'000'000'000ULL, cumulative_of(5, 700));
   EXPECT_EQ(first.index, 0);
-  EXPECT_EQ(first.rounds, 5);
-  EXPECT_EQ(first.payment_micros, 700);
-  EXPECT_DOUBLE_EQ(first.rounds_per_sec, 5.0);
-  EXPECT_DOUBLE_EQ(first.coverage, 0.75);
+  EXPECT_EQ(first.delta.rounds, 5);
+  EXPECT_EQ(first.delta.payment_micros, 700);
+  EXPECT_DOUBLE_EQ(first.per_second(first.delta.rounds), 5.0);
+  EXPECT_DOUBLE_EQ(first.delta.coverage(), 0.75);
 
-  const EconWindowStats& second =
-      aggregator.roll(cumulative_at(3'000'000'000ULL, 6, 1000));
+  const Window<EconCumulative> second =
+      windows.roll(3'000'000'000ULL, cumulative_of(6, 1000));
   EXPECT_EQ(second.index, 1);
-  EXPECT_EQ(second.rounds, 1) << "delta, not cumulative";
-  EXPECT_EQ(second.payment_micros, 300);
-  EXPECT_DOUBLE_EQ(second.rounds_per_sec, 0.5);
+  EXPECT_EQ(second.delta.rounds, 1) << "delta, not cumulative";
+  EXPECT_EQ(second.delta.payment_micros, 300);
+  EXPECT_DOUBLE_EQ(second.per_second(second.delta.rounds), 0.5);
   EXPECT_EQ(second.begin_ns, first.end_ns) << "windows chain";
 }
 
 TEST(EconWindows, AggregatorTrimsToCapacity) {
-  EconWindowAggregator aggregator(0, 2);
+  RollingWindow<EconCumulative> windows(2);
   for (int i = 1; i <= 5; ++i) {
-    aggregator.roll(cumulative_at(static_cast<std::uint64_t>(i) * 1'000'000ULL,
-                                  i, i * 10));
+    windows.roll(static_cast<std::uint64_t>(i) * std::uint64_t{1'000'000},
+                 cumulative_of(i, i * 10));
   }
-  EXPECT_EQ(aggregator.windows().size(), 2u);
-  EXPECT_EQ(aggregator.windows().back().index, 4);
-  EXPECT_EQ(aggregator.next_index(), 5);
+  EXPECT_EQ(windows.windows().size(), 2u);
+  EXPECT_EQ(windows.windows().back().index, 4);
+  EXPECT_EQ(windows.next_index(), 5);
 }
 
 TEST(EconWindows, OverpaymentRatioDerivesFromWindowDeltas) {
-  EconWindowAggregator aggregator;
+  RollingWindow<EconCumulative> windows;
   EconCumulative sample;
-  sample.at_ns = 1'000'000'000ULL;
   sample.payment_micros = Money::from_units(15).micros();
   sample.claimed_cost_micros = Money::from_units(10).micros();
-  const EconWindowStats& window = aggregator.roll(sample);
-  EXPECT_DOUBLE_EQ(window.overpayment_ratio, 0.5);
+  const Window<EconCumulative>& window = windows.roll(1'000'000'000ULL, sample);
+  EXPECT_DOUBLE_EQ(window.delta.overpayment_ratio(), 0.5);
 }
 
 // ---------------------------------------------------------------- health

@@ -1,8 +1,8 @@
 // Tests for the wall-clock timing plane's building blocks: the
 // log-bucketed latency sketch (bucket math, quantile error bound, merge
 // associativity, window deltas), the estimate_quantile edge cases both
-// planes share, the rolling-window aggregator, and the overload health
-// classifier.
+// planes share, the rolling window over the live record, and the overload
+// health classifier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,9 +67,8 @@ TEST(LatencySketchBuckets, RelativeWidthIsBounded) {
 // -------------------------------------------------------------- recording
 
 TEST(LatencySketch, SingleSampleQuantilesAreExact) {
-  LatencySketch sketch;
-  sketch.record_ns(777);
-  const LatencySketchSnapshot snap = sketch.snapshot();
+  LatencySketchSnapshot snap;
+  snap.record_ns(777);
   EXPECT_EQ(snap.count, 1u);
   EXPECT_EQ(snap.min_ns, 777u);
   EXPECT_EQ(snap.max_ns, 777u);
@@ -80,17 +79,15 @@ TEST(LatencySketch, SingleSampleQuantilesAreExact) {
 }
 
 TEST(LatencySketch, EmptySketchHasNaNQuantiles) {
-  LatencySketch sketch;
-  const LatencySketchSnapshot snap = sketch.snapshot();
+  const LatencySketchSnapshot snap;
   EXPECT_TRUE(snap.empty());
   EXPECT_TRUE(std::isnan(snap.quantile_ns(0.5)));
   EXPECT_EQ(snap.counts.size(), 0u);
 }
 
 TEST(LatencySketch, QuantileErrorStaysWithinTheBucketBound) {
-  LatencySketch sketch;
-  for (std::uint64_t ns = 1; ns <= 10'000; ++ns) sketch.record_ns(ns);
-  const LatencySketchSnapshot snap = sketch.snapshot();
+  LatencySketchSnapshot snap;
+  for (std::uint64_t ns = 1; ns <= 10'000; ++ns) snap.record_ns(ns);
   EXPECT_EQ(snap.count, 10'000u);
   for (const double q : {0.10, 0.50, 0.90, 0.95, 0.99}) {
     const double exact = q * 10'000.0;
@@ -103,9 +100,8 @@ TEST(LatencySketch, QuantileErrorStaysWithinTheBucketBound) {
 
 TEST(LatencySketch, IdenticalSamplesCollapseToTheirValue) {
   // min == max clamps the interpolation: every quantile is the value.
-  LatencySketch sketch;
-  for (int i = 0; i < 1000; ++i) sketch.record_ns(123'456);
-  const LatencySketchSnapshot snap = sketch.snapshot();
+  LatencySketchSnapshot snap;
+  for (int i = 0; i < 1000; ++i) snap.record_ns(123'456);
   for (const double q : {0.01, 0.5, 0.999}) {
     EXPECT_DOUBLE_EQ(snap.quantile_ns(q), 123'456.0) << "q=" << q;
   }
@@ -114,9 +110,9 @@ TEST(LatencySketch, IdenticalSamplesCollapseToTheirValue) {
 // ------------------------------------------------------- merge and deltas
 
 LatencySketchSnapshot sketch_of(const std::vector<std::uint64_t>& values) {
-  LatencySketch sketch;
+  LatencySketchSnapshot sketch;
   for (const std::uint64_t v : values) sketch.record_ns(v);
-  return sketch.snapshot();
+  return sketch;
 }
 
 void expect_same(const LatencySketchSnapshot& a,
@@ -163,14 +159,14 @@ TEST(LatencySketch, MergeWithEmptyIsIdentity) {
 }
 
 TEST(LatencySketch, DeltaSinceIsolatesTheWindow) {
-  LatencySketch sketch;
+  LatencySketchSnapshot sketch;
   sketch.record_ns(5);
   sketch.record_ns(10);
-  const LatencySketchSnapshot earlier = sketch.snapshot();
+  const LatencySketchSnapshot earlier = sketch;
   sketch.record_ns(7);
   sketch.record_ns(7);
   sketch.record_ns(2'000);
-  const LatencySketchSnapshot later = sketch.snapshot();
+  const LatencySketchSnapshot later = sketch;
 
   const LatencySketchSnapshot delta = later.delta_since(earlier);
   EXPECT_EQ(delta.count, 3u);
@@ -184,8 +180,7 @@ TEST(LatencySketch, DeltaSinceIsolatesTheWindow) {
 }
 
 TEST(LatencySketch, DeltaOfATornSnapshotHasNoBucketExtrema) {
-  // snapshot() reads the buckets before the count, so a concurrent
-  // record_ns can land in the count alone.
+  // A count without an occupied bucket must not invent delta extrema.
   const LatencySketchSnapshot earlier = sketch_of({50});
   LatencySketchSnapshot later = earlier;
   ++later.count;
@@ -254,10 +249,11 @@ TEST(EstimateQuantile, DegenerateBucketEdgesDoNotInventValues) {
 
 // ---------------------------------------------------------------- windows
 
-LiveCumulative cumulative_at(std::uint64_t at_ns, std::int64_t submitted,
-                             std::int64_t processed, std::int64_t rejected) {
+using LiveWindow = Window<LiveCumulative>;
+
+LiveCumulative cumulative_of(std::int64_t submitted, std::int64_t processed,
+                             std::int64_t rejected) {
   LiveCumulative sample;
-  sample.at_ns = at_ns;
   sample.submitted = submitted;
   sample.processed = processed;
   sample.rejected = rejected;
@@ -265,131 +261,133 @@ LiveCumulative cumulative_at(std::uint64_t at_ns, std::int64_t submitted,
 }
 
 TEST(RollingWindow, DeltasRatesAndMonotoneIndices) {
-  RollingWindowAggregator agg(0, 8);
-  EXPECT_EQ(agg.next_index(), 0);
+  RollingWindow<LiveCumulative> windows(8);
+  EXPECT_EQ(windows.next_index(), 0);
 
-  const WindowStats w0 = agg.roll(cumulative_at(1'000'000'000ULL, 100, 90, 0));
+  const LiveWindow w0 = windows.roll(1'000'000'000ULL, cumulative_of(100, 90, 0));
   EXPECT_EQ(w0.index, 0);
   EXPECT_EQ(w0.begin_ns, 0u);
   EXPECT_EQ(w0.end_ns, 1'000'000'000ULL);
-  EXPECT_EQ(w0.processed, 90);
-  EXPECT_DOUBLE_EQ(w0.events_per_sec, 90.0);
-  EXPECT_DOUBLE_EQ(w0.reject_rate, 0.0);
+  EXPECT_EQ(w0.delta.processed, 90);
+  EXPECT_DOUBLE_EQ(w0.per_second(w0.delta.processed), 90.0);
+  EXPECT_DOUBLE_EQ(w0.delta.reject_rate(), 0.0);
 
-  const WindowStats w1 =
-      agg.roll(cumulative_at(3'000'000'000ULL, 200, 150, 25));
+  const LiveWindow w1 =
+      windows.roll(3'000'000'000ULL, cumulative_of(200, 150, 25));
   EXPECT_EQ(w1.index, 1);
-  EXPECT_EQ(w1.submitted, 100);
-  EXPECT_EQ(w1.processed, 60);
-  EXPECT_EQ(w1.rejected, 25);
-  EXPECT_DOUBLE_EQ(w1.events_per_sec, 30.0);  // 60 over 2 s
-  EXPECT_DOUBLE_EQ(w1.reject_rate, 0.2);      // 25 / 125 offered
-  EXPECT_EQ(agg.next_index(), 2);
+  EXPECT_EQ(w1.delta.submitted, 100);
+  EXPECT_EQ(w1.delta.processed, 60);
+  EXPECT_EQ(w1.delta.rejected, 25);
+  EXPECT_DOUBLE_EQ(w1.per_second(w1.delta.processed), 30.0);  // 60 over 2 s
+  EXPECT_DOUBLE_EQ(w1.delta.reject_rate(), 0.2);  // 25 / 125 offered
+  EXPECT_EQ(windows.next_index(), 2);
 }
 
 TEST(RollingWindow, SameInputsSameWindows) {
   const auto run = [] {
-    RollingWindowAggregator agg(0, 4);
-    std::vector<WindowStats> out;
+    RollingWindow<LiveCumulative> windows(4);
+    std::vector<LiveWindow> out;
     for (int i = 1; i <= 5; ++i) {
-      out.push_back(agg.roll(cumulative_at(
-          static_cast<std::uint64_t>(i) * 500'000'000ULL, 20 * i, 18 * i,
-          i)));
+      out.push_back(windows.roll(static_cast<std::uint64_t>(i) * std::uint64_t{500'000'000},
+                                 cumulative_of(20 * i, 18 * i, i)));
     }
     return out;
   };
-  const std::vector<WindowStats> a = run();
-  const std::vector<WindowStats> b = run();
+  const std::vector<LiveWindow> a = run();
+  const std::vector<LiveWindow> b = run();
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].index, b[i].index);
-    EXPECT_EQ(a[i].processed, b[i].processed);
-    EXPECT_DOUBLE_EQ(a[i].events_per_sec, b[i].events_per_sec);
-    EXPECT_DOUBLE_EQ(a[i].reject_rate, b[i].reject_rate);
+    EXPECT_EQ(a[i].delta.processed, b[i].delta.processed);
+    EXPECT_DOUBLE_EQ(a[i].per_second(a[i].delta.processed),
+                     b[i].per_second(b[i].delta.processed));
+    EXPECT_DOUBLE_EQ(a[i].delta.reject_rate(), b[i].delta.reject_rate());
   }
 }
 
 TEST(RollingWindow, CapacityTrimsOldestButIndicesKeepCounting) {
-  RollingWindowAggregator agg(0, 2);
+  RollingWindow<LiveCumulative> windows(2);
   for (int i = 1; i <= 5; ++i) {
-    agg.roll(cumulative_at(static_cast<std::uint64_t>(i), i, i, 0));
+    windows.roll(static_cast<std::uint64_t>(i), cumulative_of(i, i, 0));
   }
-  ASSERT_EQ(agg.windows().size(), 2u);
-  EXPECT_EQ(agg.windows().front().index, 3);
-  EXPECT_EQ(agg.windows().back().index, 4);
-  EXPECT_EQ(agg.next_index(), 5);
+  ASSERT_EQ(windows.windows().size(), 2u);
+  EXPECT_EQ(windows.windows().front().index, 3);
+  EXPECT_EQ(windows.windows().back().index, 4);
+  EXPECT_EQ(windows.next_index(), 5);
 }
 
 TEST(RollingWindow, ZeroSpanWindowHasZeroRates) {
-  RollingWindowAggregator agg(0, 4);
-  const WindowStats w = agg.roll(cumulative_at(0, 10, 10, 0));
-  EXPECT_DOUBLE_EQ(w.events_per_sec, 0.0);
-  EXPECT_DOUBLE_EQ(w.rounds_per_sec, 0.0);
+  RollingWindow<LiveCumulative> windows(4);
+  const LiveWindow w = windows.roll(0, cumulative_of(10, 10, 0));
+  EXPECT_DOUBLE_EQ(w.per_second(w.delta.processed), 0.0);
+  EXPECT_DOUBLE_EQ(w.per_second(w.delta.rounds_closed), 0.0);
 }
 
 // ----------------------------------------------------------------- health
 
-WindowStats window_with(std::int64_t processed, std::int64_t queue_depth,
-                        std::int64_t watermark, double reject_rate) {
-  WindowStats w;
-  w.processed = processed;
-  w.queue_depth = queue_depth;
-  w.queue_watermark = watermark;
-  w.reject_rate = reject_rate;
+/// A window offering 4 accepted events plus `rejected` shed ones.
+LiveWindow window_with(std::int64_t processed, std::int64_t queue_depth,
+                       std::int64_t watermark, std::int64_t rejected) {
+  LiveWindow w;
+  w.delta.submitted = 4;
+  w.delta.processed = processed;
+  w.delta.queue_depth = queue_depth;
+  w.delta.queue_watermark = watermark;
+  w.delta.rejected = rejected;
   return w;
 }
 
 TEST(HealthClassifier, EmptyAndQuietWindowsAreHealthy) {
   EXPECT_EQ(classify_health({}, 100), HealthState::kHealthy);
-  std::deque<WindowStats> windows;
-  windows.push_back(window_with(50, 0, 3, 0.0));
-  windows.push_back(window_with(40, 1, 2, 0.0));
+  std::deque<LiveWindow> windows;
+  windows.push_back(window_with(50, 0, 3, 0));
+  windows.push_back(window_with(40, 1, 2, 0));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kHealthy);
 }
 
 TEST(HealthClassifier, SheddingFiresOnTheLastWindowAlone) {
-  std::deque<WindowStats> windows;
-  windows.push_back(window_with(50, 0, 3, 0.2));
+  std::deque<LiveWindow> windows;
+  windows.push_back(window_with(50, 0, 3, 1));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kShedding);
   // A recovered window clears it even with shedding history behind it.
-  windows.push_back(window_with(50, 0, 3, 0.0));
+  windows.push_back(window_with(50, 0, 3, 0));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kHealthy);
 }
 
 TEST(HealthClassifier, SaturationNeedsDwell) {
-  std::deque<WindowStats> windows;
-  windows.push_back(window_with(50, 10, 80, 0.0));
+  std::deque<LiveWindow> windows;
+  windows.push_back(window_with(50, 10, 80, 0));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kHealthy)
       << "one hot window is not an incident";
-  windows.push_back(window_with(50, 10, 90, 0.0));
+  windows.push_back(window_with(50, 10, 90, 0));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kSaturated);
   // Capacity matters: the same watermarks against a huge queue are fine.
   EXPECT_EQ(classify_health(windows, 1'000'000), HealthState::kHealthy);
 }
 
 TEST(HealthClassifier, StalledNeedsBacklogAndNoProgress) {
-  std::deque<WindowStats> windows;
-  windows.push_back(window_with(0, 5, 5, 0.0));
-  windows.push_back(window_with(0, 5, 5, 0.0));
+  std::deque<LiveWindow> windows;
+  windows.push_back(window_with(0, 5, 5, 0));
+  windows.push_back(window_with(0, 5, 5, 0));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kStalled);
   // Any forward progress in the dwell breaks the stall.
-  windows.back().processed = 1;
+  windows.back().delta.processed = 1;
   EXPECT_NE(classify_health(windows, 100), HealthState::kStalled);
   // An empty queue that processes nothing is idle, not stalled.
-  std::deque<WindowStats> idle;
-  idle.push_back(window_with(0, 0, 0, 0.0));
-  idle.push_back(window_with(0, 0, 0, 0.0));
+  std::deque<LiveWindow> idle;
+  idle.push_back(window_with(0, 0, 0, 0));
+  idle.push_back(window_with(0, 0, 0, 0));
   EXPECT_EQ(classify_health(idle, 100), HealthState::kHealthy);
 }
 
 TEST(HealthClassifier, StalledOutranksSheddingOutranksSaturated) {
-  std::deque<WindowStats> windows;
-  windows.push_back(window_with(0, 90, 95, 0.5));
-  windows.push_back(window_with(0, 90, 95, 0.5));
+  std::deque<LiveWindow> windows;
+  windows.push_back(window_with(0, 90, 95, 4));
+  windows.push_back(window_with(0, 90, 95, 4));
   EXPECT_EQ(classify_health(windows, 100), HealthState::kStalled);
-  windows.back().processed = 1;  // not stalled; still shedding + saturated
+  windows.back().delta.processed = 1;  // not stalled; still shedding + saturated
   EXPECT_EQ(classify_health(windows, 100), HealthState::kShedding);
-  windows.back().reject_rate = 0.0;  // saturation remains
+  windows.back().delta.rejected = 0;  // saturation remains
   EXPECT_EQ(classify_health(windows, 100), HealthState::kSaturated);
 
   EXPECT_EQ(worse(HealthState::kHealthy, HealthState::kSaturated),

@@ -228,7 +228,7 @@ TEST(EconTelemetry, SnapshotTotalsMatchOfflineMetricsExactly) {
   EXPECT_EQ(snapshot.cumulative.claimed_cost_micros, claimed_micros);
   EXPECT_EQ(snapshot.cumulative.tasks, tasks);
   EXPECT_EQ(snapshot.cumulative.tasks_allocated, allocated);
-  EXPECT_EQ(snapshot.total.payment_micros, payment_micros)
+  EXPECT_EQ(snapshot.total.delta.payment_micros, payment_micros)
       << "first window covers everything";
 }
 

@@ -53,12 +53,12 @@ TEST(ServeTelemetry, GoldenSnapshotUnderFakeClock) {
   LiveTelemetry live(config);
   live.attach(1, 8);
 
-  live.on_submit(0, 1);
-  live.on_submit(0, 2);
+  live.on_submit(0, 1, 1);
+  live.on_submit(0, 1, 2);
   live.on_process(0, 5, 1);
   live.on_process(0, 5, 0);
   live.on_round_close(0, 10);
-  live.on_reject(0);
+  live.on_reject(0, 1);
   clock.advance_ms(1000);
 
   std::ostringstream os;
@@ -106,16 +106,17 @@ TEST(ServeTelemetry, SnapshotWindowsAreMonotoneAndRatesDeterministic) {
   live.attach(2, 16);
 
   for (std::int64_t expected = 0; expected < 5; ++expected) {
-    live.on_submit(0, 1);
+    live.on_submit(0, 1, 1);
     live.on_process(0, 4, 0);
     clock.advance_ms(500);
     const ServeSnapshot snapshot = live.take_snapshot();
-    EXPECT_EQ(snapshot.window, expected);
-    EXPECT_EQ(snapshot.total.processed, 1);
-    EXPECT_DOUBLE_EQ(snapshot.total.events_per_sec, 2.0);
+    EXPECT_EQ(snapshot.total.index, expected);
+    EXPECT_EQ(snapshot.total.delta.processed, 1);
+    EXPECT_DOUBLE_EQ(
+        snapshot.total.per_second(snapshot.total.delta.processed), 2.0);
     ASSERT_EQ(snapshot.shards.size(), 2u);
     EXPECT_EQ(snapshot.shards[0].window.index, expected);
-    EXPECT_EQ(snapshot.shards[1].window.processed, 0);
+    EXPECT_EQ(snapshot.shards[1].window.delta.processed, 0);
   }
 }
 
@@ -126,14 +127,14 @@ TEST(ServeTelemetry, StalledShardDetectedUnderFakeClock) {
   LiveTelemetry live(config);
   live.attach(1, 8);
 
-  live.on_submit(0, 3);  // backlog builds, nothing ever processed
+  live.on_submit(0, 1, 3);  // backlog builds, nothing ever processed
   clock.advance_ms(1000);
   EXPECT_EQ(live.take_snapshot().state, obs::HealthState::kHealthy)
       << "one stalled window is within dwell";
   clock.advance_ms(1000);
   const ServeSnapshot snapshot = live.take_snapshot();
   EXPECT_EQ(snapshot.state, obs::HealthState::kStalled);
-  EXPECT_EQ(snapshot.total.queue_depth, 3);
+  EXPECT_EQ(snapshot.total.delta.queue_depth, 3);
 }
 
 TEST(ServeTelemetry, SummaryAggregatesAcrossShards) {
@@ -143,15 +144,16 @@ TEST(ServeTelemetry, SummaryAggregatesAcrossShards) {
   LiveTelemetry live(config);
   live.attach(2, 8);
 
-  live.on_submit(0, 5);
+  live.on_submit(0, 1, 5);
   live.on_process(0, 7, 0);
   live.on_round_close(0, 9);
-  live.on_submit(1, 2);
+  live.on_submit(1, 1, 2);
   live.on_process(1, 3, 0);
-  live.on_reject(1);
+  live.on_reject(1, 1);
   clock.advance_ms(2000);
 
-  const LiveSummary summary = live.summary();
+  const LiveWindow run = live.summary();
+  const obs::LiveCumulative& summary = run.delta;
   EXPECT_EQ(summary.submitted, 2);
   EXPECT_EQ(summary.processed, 2);
   EXPECT_EQ(summary.rejected, 1);
@@ -160,7 +162,7 @@ TEST(ServeTelemetry, SummaryAggregatesAcrossShards) {
   EXPECT_EQ(summary.queue_wait.count, 2u);
   EXPECT_EQ(summary.queue_wait.min_ns, 3u);
   EXPECT_EQ(summary.queue_wait.max_ns, 7u);
-  EXPECT_DOUBLE_EQ(summary.events_per_sec(), 1.0);
+  EXPECT_DOUBLE_EQ(run.per_second(summary.processed), 1.0);
 }
 
 // ------------------------------------------------------------- Prometheus
@@ -171,7 +173,7 @@ TEST(ServeTelemetry, PrometheusRenderingExposesLiveGauges) {
   config.clock = &clock;
   LiveTelemetry live(config);
   live.attach(2, 8);
-  live.on_submit(0, 1);
+  live.on_submit(0, 1, 1);
   live.on_process(0, 5, 0);
   clock.advance_ms(1000);
 
@@ -209,7 +211,7 @@ std::map<std::string, std::int64_t> counters_for(
       // A live publisher racing the workers is exactly the production
       // topology; under TSan this doubles as the no-data-race proof.
       publisher = std::make_unique<StatsPublisher>(
-          live, sink, std::chrono::milliseconds(1));
+          live, sink, std::chrono::milliseconds(1), nullptr, nullptr);
     }
     for (const ServeEvent& event : events) engine.submit(event);
     engine.drain();
@@ -241,7 +243,7 @@ TEST(ServeTelemetry, EngineFeedsTheLivePlaneWhileServing) {
   for (const ServeEvent& event : events) engine.submit(event);
   engine.drain();
 
-  const LiveSummary summary = live.summary();
+  const obs::LiveCumulative summary = live.summary().delta;
   EXPECT_EQ(summary.submitted, static_cast<std::int64_t>(events.size()));
   EXPECT_EQ(summary.processed, summary.submitted);
   EXPECT_EQ(summary.rounds_closed, load.rounds);
@@ -266,7 +268,8 @@ TEST(ServeTelemetry, StatsPublisherEmitsParsableLinesAndFinalTail) {
   std::ostringstream sink;
   {
     ServeEngine engine(config);
-    StatsPublisher publisher(live, sink, std::chrono::milliseconds(2));
+    StatsPublisher publisher(live, sink, std::chrono::milliseconds(2),
+                             nullptr, nullptr);
     for (const ServeEvent& event : events) engine.submit(event);
     engine.drain();
     publisher.stop();

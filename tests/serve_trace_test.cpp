@@ -377,11 +377,9 @@ TEST(TracePlane, LiveAndTraceRoundLatencySketchesAgree) {
   engine.drain();
 
   const obs::LatencySketchSnapshot live_sketch =
-      live.summary().round_latency;
+      live.summary().delta.round_latency;
   const obs::LatencySketchSnapshot trace_sketch =
-      trace.summary()
-          .phases[static_cast<std::size_t>(obs::TracePhase::kRoundClose)]
-          .sketch;
+      trace.summary().phase(obs::TracePhase::kRoundClose);
   ASSERT_EQ(live_sketch.count, trace_sketch.count);
   EXPECT_EQ(live_sketch.counts, trace_sketch.counts);
   EXPECT_DOUBLE_EQ(live_sketch.quantile_ns(0.5), trace_sketch.quantile_ns(0.5));

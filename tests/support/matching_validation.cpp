@@ -1,4 +1,4 @@
-#include "matching/validation.hpp"
+#include "support/matching_validation.hpp"
 
 #include <vector>
 

@@ -1,8 +1,8 @@
 // Structural validation of matchings.
 //
-// Solvers assert their own invariants, but the auction layer also re-checks
-// any matching it consumes (defense in depth: a subtle solver bug would
-// otherwise silently corrupt welfare and payments). validate_matching throws
+// Solvers assert their own invariants; the matching tests re-check every
+// solver's output on top (a subtle solver bug would otherwise silently
+// corrupt welfare and payments). validate_matching throws
 // on the first inconsistency; recompute_weight re-derives the total from the
 // graph so callers never trust a cached sum.
 #pragma once

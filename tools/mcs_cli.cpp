@@ -970,24 +970,35 @@ int cmd_serve(int argc, const char* const* argv) {
     }
     recorder.finish();
     engine.drain();
-    if (publisher) publisher->stop();  // flushes the final tail snapshot
-    if (econ_file.is_open() && !publisher) {
-      // No publisher thread to emit the tail; write one snapshot so even a
+    // Each plane's final snapshot is taken once -- by the publisher's
+    // stop() when it runs, else here -- and both the JSONL tail and the
+    // Prometheus file render that same window.
+    std::optional<serve::ServeSnapshot> live_tail;
+    std::optional<serve::EconSnapshot> econ_tail;
+    if (publisher) {
+      publisher->stop();
+      live_tail = publisher->final_snapshot();
+      econ_tail = publisher->final_econ_snapshot();
+    }
+    if (econ && !econ_tail &&
+        (econ_file.is_open() || !econ_prom_path.empty())) {
+      // No publisher emitted the econ tail: write one snapshot so even a
       // stats-less run produces a non-empty econ stream.
-      serve::write_econ_snapshot(econ_file, econ->take_snapshot());
+      econ_tail = econ->take_snapshot();
+      if (econ_file.is_open()) serve::write_econ_snapshot(econ_file, *econ_tail);
     }
     if (!prom_path.empty()) {
       std::ofstream prom_file(prom_path);
       if (!prom_file) throw IoError("cannot open stats file: " + prom_path);
-      const serve::ServeSnapshot tail = live->take_snapshot();
-      serve::render_live_prometheus(prom_file, tail);
+      if (!live_tail) live_tail = live->take_snapshot();
+      serve::render_live_prometheus(prom_file, *live_tail);
     }
     if (!econ_prom_path.empty()) {
       std::ofstream prom_file(econ_prom_path);
       if (!prom_file) {
         throw IoError("cannot open econ stats file: " + econ_prom_path);
       }
-      serve::render_econ_prometheus(prom_file, econ->take_snapshot());
+      serve::render_econ_prometheus(prom_file, *econ_tail);
     }
     if (trace_plane) {
       if (!trace_jsonl_path.empty()) {
@@ -1049,16 +1060,16 @@ int cmd_serve(int argc, const char* const* argv) {
               << " ms)\n";
   }
   if (live) {
-    const serve::LiveSummary summary = live->summary();
+    const serve::LiveWindow run = live->summary();
     std::cout << "live: queue_wait p50/p99 "
-              << summary.queue_wait.quantile_us(0.5) << "/"
-              << summary.queue_wait.quantile_us(0.99)
+              << run.delta.queue_wait.quantile_us(0.5) << "/"
+              << run.delta.queue_wait.quantile_us(0.99)
               << " us, round_close p50/p99 "
-              << summary.round_latency.quantile_us(0.5) << "/"
-              << summary.round_latency.quantile_us(0.99) << " us, "
-              << static_cast<std::int64_t>(summary.events_per_sec())
+              << run.delta.round_latency.quantile_us(0.5) << "/"
+              << run.delta.round_latency.quantile_us(0.99) << " us, "
+              << static_cast<std::int64_t>(run.per_second(run.delta.processed))
               << " events/sec live, queue high watermark "
-              << summary.queue_high_watermark << '\n';
+              << run.delta.queue_high_watermark << '\n';
   }
 
   if (econ) {
