@@ -9,7 +9,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build}"
 
-cmake -B "$BUILD_DIR" -G Ninja
+cmake -B "$BUILD_DIR" -S .
 cmake --build "$BUILD_DIR"
 
 ctest --test-dir "$BUILD_DIR" 2>&1 | tee test_output.txt

@@ -7,7 +7,6 @@
 #include <thread>
 
 #include "auction/offline_vcg.hpp"
-#include "auction/patience_greedy.hpp"
 #include "auction/posted_price.hpp"
 #include "auction/second_price.hpp"
 #include "common/assert.hpp"
@@ -83,23 +82,9 @@ std::unique_ptr<auction::Mechanism> make_arena_mechanism(
     return std::make_unique<auction::PostedPriceMechanism>(
         Money::from_double(price));
   }
-  if (parts.head == "patience") {
-    require_arg(true);
-    Slot::rep_type patience{};
-    const auto* end = parts.arg.data() + parts.arg.size();
-    const auto [ptr, ec] = std::from_chars(parts.arg.data(), end, patience);
-    if (ec != std::errc{} || ptr != end || patience < 0) {
-      throw InvalidArgumentError(
-          "patience must be a nonnegative slot count: " + std::string(spec));
-    }
-    auction::PatienceConfig config;
-    config.patience = patience;
-    config.scarce_payment = match.greedy.scarce_payment;
-    return std::make_unique<auction::PatienceGreedyMechanism>(config);
-  }
   throw InvalidArgumentError(
       "unknown mechanism '" + std::string(spec) +
-      "' (known: online, offline, second-price, posted(P), patience(K))");
+      "' (known: online, offline, second-price, posted(P))");
 }
 
 ArenaResult run_arena(const ArenaConfig& config) {

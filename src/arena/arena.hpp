@@ -52,7 +52,6 @@ struct ArenaResult {
 ///   offline          offline VCG
 ///   second-price     the per-slot second-price baseline (not truthful)
 ///   posted(P)        posted price P (money units)
-///   patience(K)      task-patience greedy, K extra slots
 /// Throws InvalidArgumentError on an unknown spec.
 [[nodiscard]] std::unique_ptr<auction::Mechanism> make_arena_mechanism(
     std::string_view spec, const MatchConfig& match);

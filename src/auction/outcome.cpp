@@ -9,8 +9,6 @@ Allocation::Allocation(int task_count, int phone_count) {
               "allocation shape must be nonnegative");
   task_to_phone_.assign(static_cast<std::size_t>(task_count), std::nullopt);
   phone_to_task_.assign(static_cast<std::size_t>(phone_count), std::nullopt);
-  task_service_slot_.assign(static_cast<std::size_t>(task_count),
-                            std::nullopt);
 }
 
 void Allocation::assign(TaskId task, PhoneId phone) {
@@ -24,21 +22,6 @@ void Allocation::assign(TaskId task, PhoneId phone) {
   MCS_EXPECTS(!p_slot.has_value(), "phone already has a task");
   t_slot = phone;
   p_slot = task;
-}
-
-void Allocation::assign(TaskId task, PhoneId phone, Slot service_slot) {
-  assign(task, phone);
-  task_service_slot_[static_cast<std::size_t>(task.value())] = service_slot;
-}
-
-Slot Allocation::service_slot_for(TaskId task,
-                                  const model::Scenario& scenario) const {
-  MCS_EXPECTS(phone_for(task).has_value(), "task is not allocated");
-  if (const auto& slot =
-          task_service_slot_[static_cast<std::size_t>(task.value())]) {
-    return *slot;
-  }
-  return scenario.tasks[static_cast<std::size_t>(task.value())].slot;
 }
 
 std::optional<PhoneId> Allocation::phone_for(TaskId task) const {
@@ -88,16 +71,11 @@ void Allocation::validate(const model::Scenario& scenario,
     // Cross-link consistency.
     const auto& back = phone_to_task_[static_cast<std::size_t>(phone->value())];
     MCS_ASSERT(back && back->value() == t, "allocation cross-links broken");
-    // Constraint (6): service within the reported active window. The
-    // service slot is the arrival slot unless the patience extension
-    // recorded a later one -- never an earlier one.
+    // Constraint (6): the task is served in its arrival slot, inside the
+    // phone's reported active window.
     const Slot arrival = scenario.tasks[static_cast<std::size_t>(t)].slot;
-    const Slot service = service_slot_for(TaskId{t}, scenario);
-    MCS_ASSERT(arrival <= service, "task served before it arrived");
-    MCS_ASSERT(service.value() <= scenario.num_slots,
-               "task served after the round");
     const model::Bid& bid = bids[static_cast<std::size_t>(phone->value())];
-    MCS_ASSERT(bid.window.contains(service),
+    MCS_ASSERT(bid.window.contains(arrival),
                "task served outside the phone's reported window");
   }
 }

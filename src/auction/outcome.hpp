@@ -33,17 +33,6 @@ class Allocation {
   /// The task is served in its arrival slot (the paper's model).
   void assign(TaskId task, PhoneId phone);
 
-  /// Same, but served in `service_slot` (task-patience extension: a task
-  /// may be served after its arrival). service_slot must not precede the
-  /// task's arrival; validate() checks it against the scenario.
-  void assign(TaskId task, PhoneId phone, Slot service_slot);
-
-  /// Slot the task is served in: the recorded service slot, or the task's
-  /// arrival slot when none was recorded. Requires the task to be
-  /// allocated.
-  [[nodiscard]] Slot service_slot_for(TaskId task,
-                                      const model::Scenario& scenario) const;
-
   [[nodiscard]] std::optional<PhoneId> phone_for(TaskId task) const;
   [[nodiscard]] std::optional<TaskId> task_for(PhoneId phone) const;
   [[nodiscard]] bool is_winner(PhoneId phone) const;
@@ -70,9 +59,6 @@ class Allocation {
  private:
   std::vector<std::optional<PhoneId>> task_to_phone_;
   std::vector<std::optional<TaskId>> phone_to_task_;
-  /// Parallel to task_to_phone_: explicit service slots (patience
-  /// extension); nullopt = served in the arrival slot.
-  std::vector<std::optional<Slot>> task_service_slot_;
 };
 
 /// Allocation plus the payment rule's output.

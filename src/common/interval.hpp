@@ -6,8 +6,6 @@
 // contained in the true one; `contains(SlotInterval)` encodes exactly that.
 #pragma once
 
-#include <algorithm>
-#include <optional>
 #include <ostream>
 
 #include "common/assert.hpp"
@@ -44,14 +42,6 @@ class SlotInterval {
   /// condition for a reported active time versus the true one.
   [[nodiscard]] constexpr bool contains(SlotInterval inner) const {
     return begin_ <= inner.begin_ && inner.end_ <= end_;
-  }
-
-  /// Intersection, or nullopt when disjoint.
-  [[nodiscard]] std::optional<SlotInterval> intersect(SlotInterval other) const {
-    const Slot b = std::max(begin_, other.begin_);
-    const Slot e = std::min(end_, other.end_);
-    if (b > e) return std::nullopt;
-    return SlotInterval{b, e};
   }
 
   friend constexpr bool operator==(SlotInterval, SlotInterval) = default;

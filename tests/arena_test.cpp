@@ -270,11 +270,11 @@ TEST(Arena, MechanismSpecsCoverTheInTreeCatalog) {
             "per-slot-second-price");
   EXPECT_EQ(make_arena_mechanism("posted(30)", match)->name(),
             "posted-price(30)");
-  EXPECT_EQ(make_arena_mechanism("patience(2)", match)->name(),
-            "patience-greedy(P=2)");
   EXPECT_THROW((void)make_arena_mechanism("posted", match),
                InvalidArgumentError);
   EXPECT_THROW((void)make_arena_mechanism("online(3)", match),
+               InvalidArgumentError);
+  EXPECT_THROW((void)make_arena_mechanism("patience(2)", match),
                InvalidArgumentError);
 }
 

@@ -93,41 +93,6 @@ TEST(Outcome, DerivedQuantities) {
   EXPECT_EQ(outcome.utility(s, PhoneId{1}), mu(1));    // 6 - 5
 }
 
-TEST(Allocation, ServiceSlotDefaultsToArrival) {
-  const model::Scenario s = two_phone_scenario();
-  Allocation a(2, 2);
-  a.assign(TaskId{0}, PhoneId{0});
-  EXPECT_EQ(a.service_slot_for(TaskId{0}, s), Slot{1});
-  EXPECT_THROW(std::ignore = a.service_slot_for(TaskId{1}, s),
-               ContractViolation);  // unallocated task
-}
-
-TEST(Allocation, ExplicitServiceSlotIsValidated) {
-  const model::Scenario s = two_phone_scenario();
-  const model::BidProfile bids = s.truthful_bids();
-  {
-    // Phone 0 ([1,2]) serves the slot-1 task late, in slot 2: legal.
-    Allocation a(2, 2);
-    a.assign(TaskId{0}, PhoneId{0}, Slot{2});
-    EXPECT_EQ(a.service_slot_for(TaskId{0}, s), Slot{2});
-    EXPECT_NO_THROW(a.validate(s, bids));
-  }
-  {
-    // Serving before arrival is rejected.
-    Allocation a(2, 2);
-    a.assign(TaskId{1}, PhoneId{0}, Slot{1});  // task 1 arrives in slot 2
-    EXPECT_THROW(a.validate(s, bids), ContractViolation);
-  }
-  {
-    // Serving outside the phone's reported window is rejected.
-    Allocation a(2, 2);
-    a.assign(TaskId{0}, PhoneId{1}, Slot{2});  // phone 1 window is [1,1]
-    EXPECT_THROW(a.validate(s, bids), ContractViolation);
-  }
-}
-
-// ------------------------------------------------------ bisection utility
-
 TEST(CriticalValueBisect, FindsExactThreshold) {
   // wins(c) iff c < 7 exactly.
   const WinsWithCost wins = [](Money c) { return c < mu(7); };

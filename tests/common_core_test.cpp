@@ -78,16 +78,6 @@ TEST(SlotInterval, ContainsIntervalIsReportLegality) {
   EXPECT_FALSE(active.contains(SlotInterval::of(2, 6)));  // late departure
 }
 
-TEST(SlotInterval, Intersect) {
-  const SlotInterval a = SlotInterval::of(1, 4);
-  const SlotInterval b = SlotInterval::of(3, 7);
-  const auto inter = a.intersect(b);
-  ASSERT_TRUE(inter.has_value());
-  EXPECT_EQ(*inter, SlotInterval::of(3, 4));
-  EXPECT_FALSE(a.intersect(SlotInterval::of(5, 9)).has_value());
-  EXPECT_TRUE(a.intersect(SlotInterval::of(4, 9)).has_value());
-}
-
 TEST(SlotInterval, Streamable) {
   std::ostringstream os;
   os << SlotInterval::of(2, 5);

@@ -13,7 +13,6 @@
 #include "auction/naive_baselines.hpp"
 #include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
-#include "auction/patience_greedy.hpp"
 #include "auction/posted_price.hpp"
 #include "auction/second_price.hpp"
 #include "support/generators.hpp"
@@ -32,9 +31,12 @@ std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
     case 3:
       return std::make_unique<auction::BatchedMatchingMechanism>(
           auction::BatchedMatchingConfig{2});
-    case 4:
-      return std::make_unique<auction::PatienceGreedyMechanism>(
-          auction::PatienceConfig{2, {}});
+    case 4: {
+      auction::OnlineGreedyConfig config;
+      config.scarce_payment =
+          auction::OnlineGreedyConfig::ScarcePayment::kOwnBid;
+      return std::make_unique<auction::OnlineGreedyMechanism>(config);
+    }
     case 5:
       return std::make_unique<auction::PostedPriceMechanism>(
           Money::from_units(20));
@@ -101,18 +103,11 @@ TEST_P(MechanismInvariants, UniversalOutcomeProperties) {
   EXPECT_EQ(metrics.total_payment,
             metrics.total_true_cost + metrics.overpayment);
 
-  // 6. No mechanism beats the clairvoyant optimum (claimed welfare)...
-  //    except the patience mechanism, whose service window is genuinely
-  //    larger than the paper's (it may serve tasks the P=0 optimum cannot).
-  if (mechanism_id != 4) {
-    EXPECT_LE(outcome.claimed_welfare(scenario, bids),
-              auction::OfflineVcgMechanism::optimal_claimed_welfare(scenario,
-                                                                    bids))
-        << mechanism->name();
-  } else {
-    EXPECT_LE(outcome.claimed_welfare(scenario, bids),
-              auction::optimal_patience_welfare(scenario, bids, 2));
-  }
+  // 6. No mechanism beats the clairvoyant optimum (claimed welfare).
+  EXPECT_LE(outcome.claimed_welfare(scenario, bids),
+            auction::OfflineVcgMechanism::optimal_claimed_welfare(scenario,
+                                                                  bids))
+      << mechanism->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -1253,7 +1253,7 @@ int cmd_arena(int argc, const char* const* argv) {
       "is byte-identical across runs and worker-thread counts.");
   cli.add_string("mechanisms", "online,offline,second-price",
                  "comma-separated: online | offline | second-price | "
-                 "posted(P) | patience(K)");
+                 "posted(P)");
   cli.add_string("policies",
                  "truthful;"
                  "shaded=truthful:3,shade(1.5):1;"
