@@ -13,7 +13,6 @@
 
 #include "common/error.hpp"
 #include "io/json.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcs::analysis {
 
@@ -85,36 +84,12 @@ std::map<std::string, std::int64_t> counters_of(const io::JsonValue& report) {
   return counters;
 }
 
-obs::MetricsSnapshot::HistogramData histogram_of(const io::JsonValue& value,
-                                                 const std::string& where) {
-  obs::MetricsSnapshot::HistogramData data;
-  data.count = value.at("count").as_int();
-  data.sum = value.at("sum").as_number();
-  if (data.count > 0) {
-    data.min = value.at("min").as_number();
-    data.max = value.at("max").as_number();
-  }
-  for (const io::JsonValue& bucket : value.at("buckets").as_array()) {
-    const io::JsonValue& le = bucket.at("le");
-    if (le.is_string()) {
-      if (le.as_string() != "+Inf") {
-        throw InvalidArgumentError(where + ": bad bucket edge '" +
-                                   le.as_string() + "'");
-      }
-    } else {
-      data.boundaries.push_back(le.as_number());
-    }
-    data.bucket_counts.push_back(bucket.at("count").as_int());
-  }
-  return data;
-}
-
-std::map<std::string, obs::MetricsSnapshot::HistogramData> histograms_of(
+std::map<std::string, obs::LatencySketchSnapshot> histograms_of(
     const io::JsonValue& report, const std::string& where) {
-  std::map<std::string, obs::MetricsSnapshot::HistogramData> histograms;
+  std::map<std::string, obs::LatencySketchSnapshot> histograms;
   if (const io::JsonValue* object = report.find("histograms")) {
     for (const auto& [name, value] : object->as_object()) {
-      histograms.emplace(name, histogram_of(value, where + "/" + name));
+      histograms.emplace(name, histogram_from_json(value, where + "/" + name));
     }
   }
   return histograms;
@@ -147,20 +122,17 @@ void diff_counters(const std::string& bench,
 
 void diff_deterministic_histogram(
     const std::string& bench, const std::string& name,
-    const obs::MetricsSnapshot::HistogramData& baseline,
-    const obs::MetricsSnapshot::HistogramData& candidate,
-    BenchDiffReport& report) {
+    const obs::LatencySketchSnapshot& baseline,
+    const obs::LatencySketchSnapshot& candidate, BenchDiffReport& report) {
   std::string what;
-  if (baseline.boundaries != candidate.boundaries) {
-    what = "bucket boundaries changed";
-  } else if (baseline.count != candidate.count) {
+  if (baseline.count != candidate.count) {
     what = "count " + std::to_string(baseline.count) + " -> " +
            std::to_string(candidate.count);
-  } else if (baseline.bucket_counts != candidate.bucket_counts) {
+  } else if (baseline.counts != candidate.counts) {
     what = "bucket counts shifted";
-  } else if (baseline.sum != candidate.sum) {
-    what = "sum " + format_number(baseline.sum) + " -> " +
-           format_number(candidate.sum);
+  } else if (baseline.sum_ns != candidate.sum_ns) {
+    what = "sum " + format_number(baseline.sum_ns) + " -> " +
+           format_number(candidate.sum_ns);
   }
   if (!what.empty()) {
     report.histogram_drifts.push_back({bench, name, std::move(what)});
@@ -175,23 +147,24 @@ double safe_ratio(double baseline, double candidate) {
 
 void diff_duration_histogram(
     const std::string& bench, const std::string& name,
-    const obs::MetricsSnapshot::HistogramData* baseline,
-    const obs::MetricsSnapshot::HistogramData* candidate,
+    const obs::LatencySketchSnapshot* baseline,
+    const obs::LatencySketchSnapshot* candidate,
     const BenchDiffOptions& options, BenchDiffReport& report) {
   TimingDiff timing;
   timing.bench = bench;
   timing.name = name;
+  // quantile_ns answers in the histogram's own unit, here microseconds.
   if (baseline != nullptr) {
-    timing.baseline_count = baseline->count;
-    timing.baseline_p50 = obs::estimate_quantile(*baseline, 0.50);
-    timing.baseline_p95 = obs::estimate_quantile(*baseline, 0.95);
-    timing.baseline_p99 = obs::estimate_quantile(*baseline, 0.99);
+    timing.baseline_count = static_cast<std::int64_t>(baseline->count);
+    timing.baseline_p50 = baseline->quantile_ns(0.50);
+    timing.baseline_p95 = baseline->quantile_ns(0.95);
+    timing.baseline_p99 = baseline->quantile_ns(0.99);
   }
   if (candidate != nullptr) {
-    timing.candidate_count = candidate->count;
-    timing.candidate_p50 = obs::estimate_quantile(*candidate, 0.50);
-    timing.candidate_p95 = obs::estimate_quantile(*candidate, 0.95);
-    timing.candidate_p99 = obs::estimate_quantile(*candidate, 0.99);
+    timing.candidate_count = static_cast<std::int64_t>(candidate->count);
+    timing.candidate_p50 = candidate->quantile_ns(0.50);
+    timing.candidate_p95 = candidate->quantile_ns(0.95);
+    timing.candidate_p99 = candidate->quantile_ns(0.99);
   }
   if (timing.baseline_count > 0 && timing.candidate_count > 0) {
     timing.ratio_p50 = safe_ratio(timing.baseline_p50, timing.candidate_p50);
@@ -219,9 +192,9 @@ void diff_section(const std::string& bench, const io::JsonValue& baseline,
   for (const std::string& name : names) {
     const auto base = baseline_histograms.find(name);
     const auto cand = candidate_histograms.find(name);
-    const obs::MetricsSnapshot::HistogramData* base_data =
+    const obs::LatencySketchSnapshot* base_data =
         base != baseline_histograms.end() ? &base->second : nullptr;
-    const obs::MetricsSnapshot::HistogramData* cand_data =
+    const obs::LatencySketchSnapshot* cand_data =
         cand != candidate_histograms.end() ? &cand->second : nullptr;
     if (is_duration_histogram(name)) {
       diff_duration_histogram(bench, name, base_data, cand_data, options,
@@ -240,6 +213,43 @@ void diff_section(const std::string& bench, const io::JsonValue& baseline,
 }
 
 }  // namespace
+
+obs::LatencySketchSnapshot histogram_from_json(const io::JsonValue& value,
+                                               const std::string& where) {
+  const auto count_at = [&](const io::JsonValue& object, const char* key) {
+    const std::int64_t n = object.at(key).as_int();
+    if (n < 0) throw InvalidArgumentError(where + ": negative " + key);
+    return static_cast<std::uint64_t>(n);
+  };
+  // A sample value or bucket edge; one at or beyond 2^64 saturates.
+  const auto value_at = [&](const io::JsonValue& object, const char* key) {
+    const double v = object.at(key).as_number();
+    if (!(v >= 0.0)) throw InvalidArgumentError(where + ": negative " + key);
+    return v < 18446744073709551616.0 ? static_cast<std::uint64_t>(v)
+                                      : ~std::uint64_t{0};
+  };
+  obs::LatencySketchSnapshot sketch;
+  sketch.count = count_at(value, "count");
+  sketch.sum_ns = value.at("sum").as_number();
+  if (sketch.count > 0) {
+    sketch.min_ns = value_at(value, "min");
+    sketch.max_ns = value_at(value, "max");
+  }
+  for (const io::JsonValue& bucket : value.at("buckets").as_array()) {
+    const io::JsonValue& le = bucket.at("le");
+    if (le.is_string() && le.as_string() != "+Inf") {
+      throw InvalidArgumentError(where + ": bad bucket edge '" +
+                                 le.as_string() + "'");
+    }
+    const std::uint64_t n = count_at(bucket, "count");
+    if (n == 0) continue;  // keep counts trimmed like a recorded sketch
+    const std::size_t b = obs::sketch_detail::bucket_of(
+        le.is_string() ? ~std::uint64_t{0} : value_at(bucket, "le"));
+    if (b >= sketch.counts.size()) sketch.counts.resize(b + 1, 0);
+    sketch.counts[b] += n;
+  }
+  return sketch;
+}
 
 BenchDiffReport diff_bench_telemetry(const io::JsonValue& baseline,
                                      const io::JsonValue& candidate,

@@ -11,10 +11,10 @@
 //    comparison is exact and a mismatch is a hard failure.
 //  * Duration histograms (every name ending "_us"). These are wall-clock
 //    and noisy, so they are compared as candidate/baseline ratios of the
-//    bucket-interpolated p50/p95/p99 (obs::estimate_quantile) against a
-//    threshold, and gate the verdict only when the caller opts in
-//    (gate_timings) -- CI keeps them report-only to tolerate shared-runner
-//    noise.
+//    bucket-interpolated p50/p95/p99 (obs::LatencySketchSnapshot's
+//    quantile estimator) against a threshold, and gate the verdict only
+//    when the caller opts in (gate_timings) -- CI keeps them report-only
+//    to tolerate shared-runner noise.
 //
 // Accepted inputs: the merged "mcs.bench_telemetry.v1" wrapper written by
 // scripts/collect_bench.sh (one section per bench binary) or a bare
@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "io/json_parse.hpp"
+#include "obs/latency_sketch.hpp"
 
 namespace mcs::analysis {
 
@@ -103,6 +104,16 @@ struct BenchDiffReport {
            (options.gate_timings && timings_regressed());
   }
 };
+
+/// Parses one mcs.telemetry.v1 histogram object back into the sketch the
+/// exporter wrote: each bucket's `le` maps to its sketch bucket through
+/// sketch_detail::bucket_of ("+Inf" to the top bucket). A layout written
+/// before the registry used sketches parses too, each of its buckets
+/// landing in the sketch bucket of its upper edge. Edges round-trip
+/// exactly below 2^53 (JSON numbers are doubles). `where` labels the
+/// InvalidArgumentError thrown on malformed input.
+[[nodiscard]] obs::LatencySketchSnapshot histogram_from_json(
+    const io::JsonValue& value, const std::string& where);
 
 /// Compares two parsed telemetry documents (mcs.bench_telemetry.v1 wrapper
 /// or bare mcs.telemetry.v1). Throws InvalidArgumentError on documents

@@ -49,9 +49,7 @@ GreedyRound::GreedyRound(Slot::rep_type num_slots, OnlineGreedyConfig config)
       tasks_end_(static_cast<std::size_t>(num_slots) + 1, 0) {
   MCS_EXPECTS(num_slots >= 1, "round must have at least one slot");
   if (obs::MetricsRegistry* const registry = obs::current_registry()) {
-    static const std::vector<double> kPoolBuckets = {0,  1,   2,   5,   10,  20,
-                                                     50, 100, 200, 500, 1000};
-    pool_hist_ = &registry->histogram("auction.greedy.pool_size", &kPoolBuckets);
+    pool_hist_ = &registry->histogram("auction.greedy.pool_size");
   }
 }
 
@@ -290,7 +288,7 @@ const GreedyRound::SlotResult& GreedyRound::advance(
   tasks_assigned_ += static_cast<std::int64_t>(result_.assigned.size());
   tasks_unserved_ += static_cast<std::int64_t>(result_.unserved.size());
   if (pool_hist_ != nullptr) {
-    pool_hist_->observe(static_cast<double>(pool_.size()));
+    pool_hist_->observe(pool_.size());
   }
 
   ++current_;

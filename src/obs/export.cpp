@@ -17,26 +17,37 @@ std::string format_number(double value) {
   return buf;
 }
 
+std::int64_t i64(std::uint64_t value) {
+  return static_cast<std::int64_t>(value);
+}
+
+/// Calls f(le, count) for each occupied bucket of `sketch` in ascending
+/// order; `le` is the bucket's inclusive upper edge.
+template <typename F>
+void for_each_occupied_bucket(const LatencySketchSnapshot& sketch, F&& f) {
+  for (std::size_t b = 0; b < sketch.counts.size(); ++b) {
+    if (sketch.counts[b] != 0) {
+      f(sketch_detail::bucket_upper_edge(b), sketch.counts[b]);
+    }
+  }
+}
+
 void write_histogram_json(io::JsonWriter& json,
-                          const MetricsSnapshot::HistogramData& data) {
+                          const LatencySketchSnapshot& sketch) {
   json.begin_object();
-  json.field("count", data.count);
-  json.field("sum", data.sum);
-  if (data.count > 0) {
-    json.field("min", data.min);
-    json.field("max", data.max);
+  json.field("count", i64(sketch.count));
+  json.field("sum", sketch.sum_ns);
+  if (!sketch.empty()) {
+    json.field("min", i64(sketch.min_ns));
+    json.field("max", i64(sketch.max_ns));
   }
   json.key("buckets").begin_array();
-  for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
+  for_each_occupied_bucket(sketch, [&](std::uint64_t le, std::uint64_t n) {
     json.begin_object();
-    if (i < data.boundaries.size()) {
-      json.field("le", data.boundaries[i]);
-    } else {
-      json.field("le", "+Inf");
-    }
-    json.field("count", data.bucket_counts[i]);
+    json.field("le", i64(le));
+    json.field("count", i64(n));
     json.end_object();
-  }
+  });
   json.end_array();
   json.end_object();
 }
@@ -132,20 +143,17 @@ void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry) {
   for (const auto& [name, value] : snap.gauges) {
     csv.write_row({"gauge", name, "value", format_number(value)});
   }
-  for (const auto& [name, data] : snap.histograms) {
-    csv.write_row({"histogram", name, "count", std::to_string(data.count)});
-    csv.write_row({"histogram", name, "sum", format_number(data.sum)});
-    if (data.count > 0) {
-      csv.write_row({"histogram", name, "min", format_number(data.min)});
-      csv.write_row({"histogram", name, "max", format_number(data.max)});
+  for (const auto& [name, sketch] : snap.histograms) {
+    csv.write_row({"histogram", name, "count", std::to_string(sketch.count)});
+    csv.write_row({"histogram", name, "sum", format_number(sketch.sum_ns)});
+    if (!sketch.empty()) {
+      csv.write_row({"histogram", name, "min", std::to_string(sketch.min_ns)});
+      csv.write_row({"histogram", name, "max", std::to_string(sketch.max_ns)});
     }
-    for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
-      const std::string edge = i < data.boundaries.size()
-                                   ? format_number(data.boundaries[i])
-                                   : std::string("+Inf");
-      csv.write_row({"histogram", name, "le=" + edge,
-                     std::to_string(data.bucket_counts[i])});
-    }
+    for_each_occupied_bucket(sketch, [&](std::uint64_t le, std::uint64_t n) {
+      csv.write_row({"histogram", name, "le=" + std::to_string(le),
+                     std::to_string(n)});
+    });
   }
 }
 
@@ -186,63 +194,36 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& registry) {
     os << "# TYPE " << id << " gauge\n"
        << id << ' ' << format_number(value) << '\n';
   }
-  for (const auto& [name, data] : snap.histograms) {
+  for (const auto& [name, sketch] : snap.histograms) {
     const std::string id = prometheus_name(name);
     write_prometheus_help(os, snap, name, id);
     os << "# TYPE " << id << " histogram\n";
-    std::int64_t cumulative = 0;
-    for (std::size_t i = 0; i < data.bucket_counts.size(); ++i) {
-      cumulative += data.bucket_counts[i];
-      const std::string edge = i < data.boundaries.size()
-                                   ? format_number(data.boundaries[i])
-                                   : std::string("+Inf");
-      os << id << "_bucket{le=\"" << edge << "\"} " << cumulative << '\n';
-    }
-    os << id << "_sum " << format_number(data.sum) << '\n'
-       << id << "_count " << data.count << '\n';
+    std::uint64_t cumulative = 0;
+    for_each_occupied_bucket(sketch, [&](std::uint64_t le, std::uint64_t n) {
+      cumulative += n;
+      os << id << "_bucket{le=\"" << le << "\"} " << cumulative << '\n';
+    });
+    // The exposition format requires the +Inf bucket.
+    os << id << "_bucket{le=\"+Inf\"} " << sketch.count << '\n'
+       << id << "_sum " << format_number(sketch.sum_ns) << '\n'
+       << id << "_count " << sketch.count << '\n';
   }
 }
 
 void write_chrome_trace(std::ostream& os,
                         const std::vector<SpanRecord>& spans,
                         const std::map<std::string, std::string>& meta) {
-  io::JsonWriter json(os);
-  json.begin_object();
-  json.key("traceEvents").begin_array();
-  // Metadata record naming the single process/thread every span lands on.
-  json.begin_object();
-  json.field("name", "process_name");
-  json.field("ph", "M");
-  json.field("pid", std::int64_t{1});
-  json.field("tid", std::int64_t{1});
-  json.key("args").begin_object();
-  json.field("name", "mcs");
-  json.end_object();
-  json.end_object();
+  std::vector<ChromeEvent> events;
+  events.reserve(spans.size());
   for (const SpanRecord& span : spans) {
-    json.begin_object();
-    json.field("name", span.name);
-    json.field("cat", "mcs");
-    json.field("ph", "X");
-    json.field("ts", span.start_us);
-    json.field("dur", span.duration_us);
-    json.field("pid", std::int64_t{1});
-    json.field("tid", std::int64_t{1});
-    json.key("args").begin_object();
-    json.field("depth", static_cast<std::int64_t>(span.depth));
-    json.field("parent", static_cast<std::int64_t>(span.parent));
-    json.end_object();
-    json.end_object();
+    ChromeEvent event;
+    event.name = span.name;
+    event.ts_us = span.start_us;
+    event.dur_us = span.duration_us;
+    event.args = {{"depth", span.depth}, {"parent", span.parent}};
+    events.push_back(std::move(event));
   }
-  json.end_array();
-  json.field("displayTimeUnit", "ms");
-  if (!meta.empty()) {
-    json.key("otherData").begin_object();
-    for (const auto& [key, value] : meta) json.field(key, value);
-    json.end_object();
-  }
-  json.end_object();
-  os << '\n';
+  write_chrome_trace_events(os, {}, events, meta);
 }
 
 void write_chrome_trace(std::ostream& os, const TraceCollector& trace,
@@ -286,6 +267,11 @@ void write_chrome_trace_events(
     json.field("dur", event.dur_us);
     json.field("pid", event.pid);
     json.field("tid", event.tid);
+    if (!event.args.empty()) {
+      json.key("args").begin_object();
+      for (const auto& [key, value] : event.args) json.field(key, value);
+      json.end_object();
+    }
     json.end_object();
     if (event.flow_out >= 0) {
       json.begin_object();

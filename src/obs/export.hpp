@@ -10,6 +10,8 @@
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -19,9 +21,11 @@ namespace mcs::obs {
 /// Writes the registry (and optionally a trace) as one JSON object:
 ///   {"schema":"mcs.telemetry.v1","meta":{...},"counters":{...},
 ///    "gauges":{...},"histograms":{...},"trace":[...]}
-/// Histogram buckets use Prometheus le semantics; the overflow bucket's
-/// upper edge is the string "+Inf". `meta` lands as string fields under
-/// "meta" (e.g. tool name, scenario path).
+/// A histogram is {"count","sum","min","max","buckets":[{"le","count"}]}
+/// (min/max only when non-empty). Buckets are the occupied latency-sketch
+/// buckets in ascending order; `le` is the bucket's inclusive upper edge
+/// (Prometheus le semantics). `meta` lands as string fields under "meta"
+/// (e.g. tool name, scenario path).
 void write_metrics_json(
     std::ostream& os, const MetricsRegistry& registry,
     const TraceCollector* trace = nullptr,
@@ -29,7 +33,7 @@ void write_metrics_json(
 
 /// CSV with header kind,name,field,value -- counters one row each,
 /// gauges one row each, histograms one row per (count|sum|min|max) plus
-/// one per bucket ("le=<edge>").
+/// one per occupied sketch bucket ("le=<upper edge>").
 void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry);
 
 /// Sanitizes a dotted metric name into a legal Prometheus identifier:
@@ -44,7 +48,8 @@ void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry);
 [[nodiscard]] std::string prometheus_label_value(std::string_view value);
 
 /// Prometheus text exposition format. Metric names are sanitized via
-/// prometheus_name(); histograms expand to _bucket/_sum/_count series.
+/// prometheus_name(); histograms expand to _bucket/_sum/_count series, one
+/// cumulative _bucket line per occupied sketch bucket plus le="+Inf".
 void write_prometheus(std::ostream& os, const MetricsRegistry& registry);
 
 /// Human-readable indented span tree:
@@ -55,10 +60,11 @@ void render_trace_text(std::ostream& os, const TraceCollector& trace);
 
 /// Chrome Trace Event Format (the JSON-object flavour with a "traceEvents"
 /// array of complete "X" events), loadable directly in Perfetto or
-/// chrome://tracing. One event per span, in the collector's preorder, with
-/// ts/dur in microseconds relative to the collector's epoch; depth and
-/// parent index travel in "args" so the exported tree is loss-free with
-/// respect to render_trace_text. `meta` lands under "otherData".
+/// chrome://tracing, written by write_chrome_trace_events on one lane. One
+/// event per span, in the collector's preorder, with ts/dur in
+/// microseconds relative to the collector's epoch; depth and parent index
+/// travel in "args" so the exported tree is loss-free with respect to
+/// render_trace_text. `meta` lands under "otherData".
 void write_chrome_trace(std::ostream& os,
                         const std::vector<SpanRecord>& spans,
                         const std::map<std::string, std::string>& meta = {});
@@ -80,6 +86,9 @@ struct ChromeEvent {
   std::int64_t dur_us{0};
   std::int64_t flow_out{-1};
   std::int64_t flow_in{-1};
+  /// Integer "args" of the event, in order (omitted when empty). Keys are
+  /// views: pass string literals.
+  std::vector<std::pair<std::string_view, std::int64_t>> args;
 };
 
 /// Display name of one pid/tid lane (rendered as a thread_name "M"
@@ -90,10 +99,10 @@ struct ChromeLane {
   std::string name;
 };
 
-/// Multi-lane Chrome Trace Event Format: thread_name metadata for each
-/// lane, then the events in the order given (callers sort for
-/// determinism), with flow records interleaved after their spans. The
-/// single-lane SpanRecord overload above is untouched and byte-stable.
+/// The one Chrome Trace Event Format writer: a process_name metadata
+/// record, thread_name metadata for each lane, then the events in the
+/// order given (callers sort for determinism), with flow records
+/// interleaved after their spans.
 void write_chrome_trace_events(
     std::ostream& os, const std::vector<ChromeLane>& lanes,
     const std::vector<ChromeEvent>& events,

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/assert.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcs::obs {
 
@@ -15,7 +14,7 @@ std::size_t bucket_of(std::uint64_t ns) noexcept {
   if (ns < kSubBuckets) return static_cast<std::size_t>(ns);
   // bit_width >= 5 here; the top 4 bits after the leading one pick the
   // linear sub-bucket within the octave.
-  const int width = std::bit_width(ns);
+  const int width = static_cast<int>(std::bit_width(ns));
   const std::size_t octave = static_cast<std::size_t>(width - 4);
   const std::uint64_t sub = (ns >> (width - 5)) - kSubBuckets;
   return octave * kSubBuckets + static_cast<std::size_t>(sub);
@@ -39,26 +38,36 @@ std::uint64_t bucket_upper_edge(std::size_t bucket) noexcept {
 
 double LatencySketchSnapshot::quantile_ns(double q) const {
   if (count == 0) return std::numeric_limits<double>::quiet_NaN();
-  // Adapt the bucket counts to the counter plane's HistogramData shape:
-  // boundaries are the (inclusive) upper edges of all buckets but the
-  // last, whose role as the "overflow" bucket estimate_quantile closes
-  // with the tracked max.
-  MetricsSnapshot::HistogramData data;
-  data.count = static_cast<std::int64_t>(count);
-  data.sum = sum_ns;
-  data.min = static_cast<double>(min_ns);
-  data.max = static_cast<double>(max_ns);
-  data.bucket_counts.reserve(counts.size());
-  for (const std::uint64_t c : counts) {
-    data.bucket_counts.push_back(static_cast<std::int64_t>(c));
+  const double min = static_cast<double>(min_ns);
+  const double max = static_cast<double>(max_ns);
+  if (count == 1 || q <= 0.0) return min;
+  if (q >= 1.0) return max;
+  const double target = q * static_cast<double>(count);
+  std::uint64_t cumulative = 0;
+  for (std::size_t b = 0; b < counts.size(); ++b) {
+    const std::uint64_t prev = cumulative;
+    cumulative += counts[b];
+    if (static_cast<double>(cumulative) < target || counts[b] == 0) continue;
+    // Bucket edges, tightened by the tracked extrema: a delta's
+    // bucket-derived min can undercut the bucket below, and the highest
+    // bucket closes at max, so clamp both edges into [min, max] before
+    // interpolating -- otherwise the estimate could leave the observed
+    // range.
+    const double lower = std::max(
+        b == 0 ? min
+               : static_cast<double>(sketch_detail::bucket_upper_edge(b - 1)),
+        min);
+    const double upper = std::min(
+        b + 1 < counts.size()
+            ? static_cast<double>(sketch_detail::bucket_upper_edge(b))
+            : max,
+        max);
+    if (!(upper > lower)) return std::clamp(lower, min, max);
+    const double position = (target - static_cast<double>(prev)) /
+                            static_cast<double>(counts[b]);
+    return std::clamp(lower + (upper - lower) * position, min, max);
   }
-  if (counts.empty()) data.bucket_counts.push_back(data.count);
-  data.boundaries.reserve(data.bucket_counts.size() - 1);
-  for (std::size_t b = 0; b + 1 < data.bucket_counts.size(); ++b) {
-    data.boundaries.push_back(
-        static_cast<double>(sketch_detail::bucket_upper_edge(b)));
-  }
-  return estimate_quantile(data, q);
+  return max;  // a count without bucket counts (a torn delta)
 }
 
 LatencySketchSnapshot LatencySketchSnapshot::delta_since(

@@ -1,21 +1,24 @@
-// Log-bucketed latency sketch for the live timing plane.
+// Log-bucketed latency sketch: the one distribution type of the repo.
 //
-// An HDR-histogram-style sketch over nanosecond durations: values below 16
+// An HDR-histogram-style sketch over non-negative integers: values below 16
 // are counted exactly, everything above lands in one of 16 linear
 // sub-buckets per power of two, so the relative quantile error is bounded
 // by 1/16 (6.25%) across the full uint64 range. Recording is a bucket
-// increment; the serve planes record into the sketches of their per-shard
-// records under the shard's lock and copy them out for snapshots.
+// increment; the serve planes record nanoseconds into the sketches of
+// their per-shard records under the shard's lock and copy them out for
+// snapshots.
+//
+// The registry's obs::Histogram wraps one sketch too. There the samples
+// are in the histogram's own unit (whole microseconds for span.*_us, a
+// count for auction.greedy.pool_size), so the `_ns` members below carry
+// that unit instead.
 //
 // Sketches are mergeable (bucket-wise sums, associative and commutative),
 // and additionally support delta_since() so a rolling window can subtract
-// the cumulative sketch at the previous window edge. Quantile extraction
-// converts the bucket counts into the same MetricsSnapshot::HistogramData
-// shape the counter plane exports and reuses obs::estimate_quantile, so
-// both planes share one definition of p50/p95/p99.
-//
-// This type is part of the wall-clock timing plane: it must never be
-// registered in a MetricsRegistry that bench-diff gates.
+// the cumulative sketch at the previous window edge. quantile_ns() is the
+// one quantile estimator: it interpolates on the sketch's own buckets, so
+// the serve planes, the registry exporters and bench-diff share one
+// definition of p50/p95/p99.
 #pragma once
 
 #include <cstdint>
@@ -55,8 +58,14 @@ struct LatencySketchSnapshot {
     return count == 0 ? 0.0 : sum_ns / static_cast<double>(count);
   }
 
-  /// Bucket-interpolated quantile in nanoseconds via estimate_quantile
-  /// (NaN when empty, exact for a single sample).
+  /// Bucket-interpolated quantile (Prometheus histogram_quantile
+  /// semantics, sharpened by the tracked extrema): the rank q * count is
+  /// located in the cumulative bucket counts and interpolated linearly
+  /// within its bucket, which spans (upper edge of the bucket below, its
+  /// own upper edge]. The lowest bucket opens at min, the highest occupied
+  /// one closes at max, and the result is clamped to [min, max]. q <= 0
+  /// returns min, q >= 1 returns max, one sample returns it for every q,
+  /// an empty sketch returns NaN. Allocates nothing.
   [[nodiscard]] double quantile_ns(double q) const;
   [[nodiscard]] double quantile_us(double q) const {
     return quantile_ns(q) / 1000.0;

@@ -1,4 +1,4 @@
-// Telemetry metrics: counters, gauges, and fixed-bucket histograms.
+// Telemetry metrics: counters, gauges, and latency-sketch histograms.
 //
 // The paper argues for its mechanisms on computational-efficiency grounds
 // (Theorems 3 and 7); this registry is how the repo observes where the work
@@ -28,7 +28,8 @@
 #include <mutex>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "obs/latency_sketch.hpp"
 
 namespace mcs::obs {
 
@@ -69,62 +70,28 @@ class Gauge {
   std::atomic<bool> set_{false};
 };
 
-/// Fixed-bucket histogram (Prometheus "le" semantics: bucket i counts
-/// samples <= boundaries[i]; one implicit overflow bucket catches the
-/// rest). Also tracks count/sum/min/max. Boundaries are fixed at creation
-/// so two histograms of the same name always merge exactly.
+/// Distribution of non-negative integer samples in the histogram's own
+/// unit: whole microseconds for span.*_us and ScopedTimer, a count for
+/// auction.greedy.pool_size. A mutex around one LatencySketchSnapshot, so
+/// every histogram has the sketch's bucket scheme and two histograms of
+/// the same name always merge exactly.
 class Histogram {
  public:
-  explicit Histogram(std::vector<double> boundaries);
-
-  /// boundaries [start, start*factor, ...], `count` of them, for latency
-  /// metrics spanning several orders of magnitude.
-  [[nodiscard]] static std::vector<double> exponential_boundaries(
-      double start, double factor, int count);
-
-  /// Default boundaries for microsecond latencies: 1us .. ~8.4s, x2 steps.
-  [[nodiscard]] static const std::vector<double>& default_latency_boundaries_us();
-
-  void observe(double value);
-
-  [[nodiscard]] const std::vector<double>& boundaries() const {
-    return boundaries_;
-  }
-  /// Per-bucket counts; size() == boundaries().size() + 1 (overflow last).
-  [[nodiscard]] std::vector<std::int64_t> bucket_counts() const;
-  [[nodiscard]] std::int64_t count() const;
-  [[nodiscard]] double sum() const;
-  /// Extrema; only meaningful when count() > 0.
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-
-  /// Adds another histogram's samples; boundaries must match exactly.
+  void observe(std::uint64_t value);
+  /// Adds another histogram's samples (bucket-wise sum).
   void merge(const Histogram& other);
+  [[nodiscard]] LatencySketchSnapshot snapshot() const;
 
  private:
-  std::vector<double> boundaries_;  // strictly increasing
   mutable std::mutex mutex_;
-  std::vector<std::int64_t> counts_;  // boundaries_.size() + 1
-  std::int64_t count_{0};
-  double sum_{0.0};
-  double min_{0.0};
-  double max_{0.0};
+  LatencySketchSnapshot sketch_;
 };
 
 /// Snapshot of a whole registry, ordered by name (deterministic export).
 struct MetricsSnapshot {
-  struct HistogramData {
-    std::vector<double> boundaries;
-    std::vector<std::int64_t> bucket_counts;
-    std::int64_t count{0};
-    double sum{0.0};
-    double min{0.0};
-    double max{0.0};
-  };
-
   std::map<std::string, std::int64_t> counters;
   std::map<std::string, double> gauges;
-  std::map<std::string, HistogramData> histograms;
+  std::map<std::string, LatencySketchSnapshot> histograms;
   /// Per-metric descriptions (only metrics registered with a help text).
   std::map<std::string, std::string> help;
 };
@@ -142,11 +109,7 @@ class MetricsRegistry {
   /// "# HELP"); the first non-empty help registered for a name wins.
   Counter& counter(std::string_view name, std::string_view help = {});
   Gauge& gauge(std::string_view name, std::string_view help = {});
-  /// First call for a name fixes the boundaries; later calls (and merges)
-  /// must agree. Defaults to the microsecond latency buckets.
-  Histogram& histogram(std::string_view name,
-                       const std::vector<double>* boundaries = nullptr,
-                       std::string_view help = {});
+  Histogram& histogram(std::string_view name, std::string_view help = {});
 
   /// Folds `other` into this registry (sums counters and histograms; keeps
   /// already-set gauges). Associative and commutative on counters and
@@ -164,16 +127,6 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>, std::less<>> histograms_;
   std::map<std::string, std::string, std::less<>> help_;
 };
-
-/// Bucket-interpolated quantile estimate over an exported histogram
-/// (Prometheus histogram_quantile semantics, sharpened by the tracked
-/// extrema): the quantile rank is located in the cumulative bucket counts
-/// and interpolated linearly within its bucket. The first bucket's lower
-/// edge is the observed min, the overflow bucket's upper edge the observed
-/// max, and the result is clamped to [min, max]. q <= 0 returns min,
-/// q >= 1 returns max; an empty histogram returns NaN.
-[[nodiscard]] double estimate_quantile(
-    const MetricsSnapshot::HistogramData& data, double q);
 
 /// Registers the headline work counters (with their descriptions) so every
 /// telemetry report carries the same schema keys regardless of which code
@@ -208,7 +161,7 @@ inline void count(std::string_view name, std::int64_t n = 1) {
 }
 
 /// Records into a histogram of the installed registry; no-op when off.
-inline void observe(std::string_view name, double value) {
+inline void observe(std::string_view name, std::uint64_t value) {
   if (MetricsRegistry* registry = current_registry()) {
     registry->histogram(name).observe(value);
   }

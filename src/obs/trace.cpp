@@ -65,7 +65,7 @@ TraceSpan::~TraceSpan() {
   if (metrics_on_) {
     if (MetricsRegistry* registry = current_registry()) {
       registry->histogram("span." + name_ + "_us")
-          .observe(static_cast<double>(us));
+          .observe(static_cast<std::uint64_t>(us));
     }
   }
 }
@@ -80,7 +80,7 @@ ScopedTimer::ScopedTimer(std::string_view histogram_name)
 ScopedTimer::~ScopedTimer() {
   if (!enabled_) return;
   if (MetricsRegistry* registry = current_registry()) {
-    registry->histogram(name_).observe(static_cast<double>(
+    registry->histogram(name_).observe(static_cast<std::uint64_t>(
         elapsed_us(start_, std::chrono::steady_clock::now())));
   }
 }

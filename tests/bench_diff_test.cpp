@@ -40,13 +40,11 @@ std::string wrap_sections(
 /// A registry resembling one bench section: headline counters, one
 /// deterministic distribution histogram, one duration histogram.
 void fill_section(obs::MetricsRegistry& registry, std::int64_t iterations,
-                  double pool_sample, double duration_us) {
+                  std::uint64_t pool_sample, std::uint64_t duration_us) {
   obs::preregister_headline_counters(registry);
   registry.counter("matching.hungarian.iterations").add(iterations);
   registry.counter("auction.critical_value.probes").add(7);
-  const std::vector<double> pool_edges{2.0, 4.0, 8.0};
-  registry.histogram("auction.greedy.pool_size", &pool_edges)
-      .observe(pool_sample);
+  registry.histogram("auction.greedy.pool_size").observe(pool_sample);
   registry.histogram("span.allocation_us").observe(duration_us);
 }
 
@@ -54,7 +52,7 @@ io::JsonValue parse(const std::string& text) { return io::parse_json(text); }
 
 TEST(BenchDiff, SelfCompareIsClean) {
   obs::MetricsRegistry registry;
-  fill_section(registry, 42, 3.0, 100.0);
+  fill_section(registry, 42, 3, 100);
   const std::string doc =
       wrap_sections({{"perf_matching", export_registry(registry, "perf_matching")}});
   const BenchDiffReport report =
@@ -75,9 +73,9 @@ TEST(BenchDiff, SelfCompareIsClean) {
 
 TEST(BenchDiff, CounterDriftIsNamedAndFailsTheGate) {
   obs::MetricsRegistry baseline;
-  fill_section(baseline, 42, 3.0, 100.0);
+  fill_section(baseline, 42, 3, 100);
   obs::MetricsRegistry candidate;
-  fill_section(candidate, 45, 3.0, 100.0);  // iterations drifted 42 -> 45
+  fill_section(candidate, 45, 3, 100);  // iterations drifted 42 -> 45
   const BenchDiffReport report = diff_bench_telemetry(
       parse(wrap_sections(
           {{"perf_matching", export_registry(baseline, "perf_matching")}})),
@@ -101,10 +99,10 @@ TEST(BenchDiff, CounterDriftIsNamedAndFailsTheGate) {
 
 TEST(BenchDiff, MissingCounterIsDrift) {
   obs::MetricsRegistry baseline;
-  fill_section(baseline, 42, 3.0, 100.0);
+  fill_section(baseline, 42, 3, 100);
   baseline.counter("matching.flow.spfa_pops").add(9);
   obs::MetricsRegistry candidate;
-  fill_section(candidate, 42, 3.0, 100.0);
+  fill_section(candidate, 42, 3, 100);
   const BenchDiffReport report = diff_bench_telemetry(
       parse(wrap_sections({{"b", export_registry(baseline, "b")}})),
       parse(wrap_sections({{"b", export_registry(candidate, "b")}})));
@@ -118,7 +116,7 @@ TEST(BenchDiff, MissingCounterIsDrift) {
 
 TEST(BenchDiff, MissingSectionIsANote) {
   obs::MetricsRegistry a;
-  fill_section(a, 1, 2.0, 10.0);
+  fill_section(a, 1, 2, 10);
   const std::string section = export_registry(a, "a");
   const BenchDiffReport report = diff_bench_telemetry(
       parse(wrap_sections({{"a", section}, {"b", section}})),
@@ -131,9 +129,9 @@ TEST(BenchDiff, MissingSectionIsANote) {
 
 TEST(BenchDiff, DeterministicHistogramDriftFails) {
   obs::MetricsRegistry baseline;
-  fill_section(baseline, 42, 3.0, 100.0);  // pool sample in (2, 4]
+  fill_section(baseline, 42, 3, 100);  // pool sample in bucket 3
   obs::MetricsRegistry candidate;
-  fill_section(candidate, 42, 7.0, 100.0);  // pool sample in (4, 8]
+  fill_section(candidate, 42, 7, 100);  // pool sample in bucket 7
   const BenchDiffReport report = diff_bench_telemetry(
       parse(wrap_sections({{"b", export_registry(baseline, "b")}})),
       parse(wrap_sections({{"b", export_registry(candidate, "b")}})));
@@ -145,9 +143,9 @@ TEST(BenchDiff, DeterministicHistogramDriftFails) {
 
 TEST(BenchDiff, TimingRegressionGatesOnlyWhenAsked) {
   obs::MetricsRegistry baseline;
-  fill_section(baseline, 42, 3.0, 100.0);
+  fill_section(baseline, 42, 3, 100);
   obs::MetricsRegistry candidate;
-  fill_section(candidate, 42, 3.0, 1000.0);  // ~10x slower span
+  fill_section(candidate, 42, 3, 1000);  // ~10x slower span
   const BenchDiffReport report = diff_bench_telemetry(
       parse(wrap_sections({{"b", export_registry(baseline, "b")}})),
       parse(wrap_sections({{"b", export_registry(candidate, "b")}})));
@@ -173,7 +171,7 @@ TEST(BenchDiff, TimingRegressionGatesOnlyWhenAsked) {
 
 TEST(BenchDiff, BareTelemetryReportsDiffAsOneSection) {
   obs::MetricsRegistry registry;
-  fill_section(registry, 42, 3.0, 100.0);
+  fill_section(registry, 42, 3, 100);
   const std::string doc = export_registry(registry, "mcs_cli run");
   const BenchDiffReport report = diff_bench_telemetry(parse(doc), parse(doc));
   EXPECT_TRUE(report.deterministic_clean());
@@ -192,9 +190,9 @@ TEST(BenchDiff, RejectsNonTelemetryDocuments) {
 
 TEST(BenchDiff, JsonVerdictRoundTrips) {
   obs::MetricsRegistry baseline;
-  fill_section(baseline, 42, 3.0, 100.0);
+  fill_section(baseline, 42, 3, 100);
   obs::MetricsRegistry candidate;
-  fill_section(candidate, 43, 3.0, 100.0);
+  fill_section(candidate, 43, 3, 100);
   BenchDiffReport report = diff_bench_telemetry(
       parse(wrap_sections({{"b", export_registry(baseline, "b")}})),
       parse(wrap_sections({{"b", export_registry(candidate, "b")}})));
@@ -212,6 +210,37 @@ TEST(BenchDiff, JsonVerdictRoundTrips) {
   EXPECT_EQ(drifts[0].at("name").as_string(), "matching.hungarian.iterations");
   EXPECT_EQ(doc.at("counters").at("compared").as_int(), 9);
   EXPECT_EQ(doc.at("timings").as_array().size(), 1u);
+}
+
+TEST(BenchDiff, HistogramJsonRoundTripsToTheIdenticalSketch) {
+  // write_metrics_json -> parser -> the sketch that was recorded, across
+  // the exact range (0, 15), the first shared bucket (16) and wide
+  // buckets (>= 2^20).
+  obs::MetricsRegistry registry;
+  obs::Histogram& histogram = registry.histogram("x.size");
+  for (const std::uint64_t v :
+       {0ULL, 15ULL, 16ULL, 1ULL << 20, (1ULL << 20) + 12'345, 1ULL << 35}) {
+    histogram.observe(v);
+  }
+  const io::JsonValue doc = parse(export_registry(registry, "t"));
+  const obs::LatencySketchSnapshot parsed =
+      histogram_from_json(doc.at("histograms").at("x.size"), "x.size");
+  const obs::LatencySketchSnapshot recorded = histogram.snapshot();
+  EXPECT_EQ(parsed.counts, recorded.counts);
+  EXPECT_EQ(parsed.count, recorded.count);
+  EXPECT_EQ(parsed.sum_ns, recorded.sum_ns);
+  EXPECT_EQ(parsed.min_ns, recorded.min_ns);
+  EXPECT_EQ(parsed.max_ns, recorded.max_ns);
+
+  // A fixed-bucket layout (with its "+Inf" overflow) parses too: each
+  // bucket lands in the sketch bucket of its upper edge.
+  const obs::LatencySketchSnapshot legacy = histogram_from_json(
+      parse("{\"count\":2,\"sum\":9,\"min\":1,\"max\":8,\"buckets\":["
+            "{\"le\":1,\"count\":1},{\"le\":2,\"count\":0},"
+            "{\"le\":8,\"count\":1},{\"le\":\"+Inf\",\"count\":0}]}"),
+      "legacy");
+  EXPECT_EQ(legacy.counts,
+            (std::vector<std::uint64_t>{0, 1, 0, 0, 0, 0, 0, 0, 1}));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for the wall-clock timing plane's building blocks: the
 // log-bucketed latency sketch (bucket math, quantile error bound, merge
-// associativity, window deltas), the estimate_quantile edge cases both
-// planes share, the rolling window over the live record, and the overload
+// associativity, window deltas), the edge cases of its quantile estimator
+// (the one the registry histograms share), the rolling window over the live record, and the overload
 // health classifier.
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/latency_sketch.hpp"
-#include "obs/metrics.hpp"
 #include "obs/rolling_window.hpp"
 #include "obs/wallclock.hpp"
 
@@ -198,53 +197,46 @@ TEST(LatencySketch, DeltaOfIdenticalSnapshotsIsEmpty) {
   EXPECT_TRUE(std::isnan(delta.quantile_ns(0.5)));
 }
 
-// --------------------------------------- estimate_quantile edge hardening
+// ------------------------------------------ quantile estimator edge cases
 
 TEST(EstimateQuantile, EmptyHistogramIsNaN) {
-  MetricsSnapshot::HistogramData data;
-  data.boundaries = {10.0, 20.0};
-  data.bucket_counts = {0, 0, 0};
-  data.count = 0;
-  EXPECT_TRUE(std::isnan(estimate_quantile(data, 0.5)));
+  LatencySketchSnapshot sketch;
+  sketch.counts = {0, 0, 0};
+  EXPECT_TRUE(std::isnan(sketch.quantile_ns(0.5)));
 }
 
 TEST(EstimateQuantile, SingleSampleReturnsItForEveryQ) {
-  MetricsSnapshot::HistogramData data;
-  data.boundaries = {10.0, 20.0};
-  data.bucket_counts = {0, 1, 0};
-  data.count = 1;
-  data.min = 17.0;
-  data.max = 17.0;
+  // 1000 shares the bucket [992, 1023]; one sample is still exact.
+  const LatencySketchSnapshot sketch = sketch_of({1000});
   for (const double q : {0.0, 0.25, 0.5, 0.99, 1.0}) {
-    EXPECT_DOUBLE_EQ(estimate_quantile(data, q), 17.0) << "q=" << q;
+    EXPECT_DOUBLE_EQ(sketch.quantile_ns(q), 1000.0) << "q=" << q;
   }
 }
 
 TEST(EstimateQuantile, AllOverflowBucketStaysWithinObservedRange) {
-  // Every sample beyond the last boundary: the overflow bucket has no
-  // upper edge, so the estimate must be closed by the tracked extrema.
-  MetricsSnapshot::HistogramData data;
-  data.boundaries = {10.0, 20.0};
-  data.bucket_counts = {0, 0, 8};
-  data.count = 8;
-  data.min = 25.0;
-  data.max = 30.0;
+  // Every sample in the sketch's top bucket [2^64 - 2^59, 2^64 - 1]: the
+  // estimate must be closed by the tracked extrema, not the bucket edges.
+  const std::size_t top = sketch_detail::kBucketCount - 1;
+  const std::uint64_t low = sketch_detail::bucket_lower_edge(top) + (1ULL << 57);
+  const std::uint64_t high = sketch_detail::bucket_upper_edge(top) - (1ULL << 57);
+  ASSERT_EQ(sketch_detail::bucket_of(low), top);
+  ASSERT_EQ(sketch_detail::bucket_of(high), top);
+  LatencySketchSnapshot sketch;
+  for (int i = 0; i < 4; ++i) {
+    sketch.record_ns(low);
+    sketch.record_ns(high);
+  }
   for (const double q : {0.1, 0.5, 0.9, 0.99}) {
-    const double estimate = estimate_quantile(data, q);
-    EXPECT_GE(estimate, 25.0) << "q=" << q;
-    EXPECT_LE(estimate, 30.0) << "q=" << q;
+    const double estimate = sketch.quantile_ns(q);
+    EXPECT_GE(estimate, static_cast<double>(low)) << "q=" << q;
+    EXPECT_LE(estimate, static_cast<double>(high)) << "q=" << q;
   }
 }
 
 TEST(EstimateQuantile, DegenerateBucketEdgesDoNotInventValues) {
-  // min == max collapses the only occupied bucket to a point.
-  MetricsSnapshot::HistogramData data;
-  data.boundaries = {10.0};
-  data.bucket_counts = {0, 4};
-  data.count = 4;
-  data.min = 15.0;
-  data.max = 15.0;
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 0.5), 15.0);
+  // min == max collapses the only occupied bucket [992, 1023] to a point.
+  const LatencySketchSnapshot sketch = sketch_of({1000, 1000, 1000, 1000});
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(0.5), 1000.0);
 }
 
 // ---------------------------------------------------------------- windows

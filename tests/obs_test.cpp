@@ -39,64 +39,51 @@ TEST(Gauge, TracksLastValueAndSetFlag) {
 }
 
 TEST(Histogram, LeBucketPlacement) {
-  // Prometheus semantics: bucket i counts samples <= boundaries[i].
-  Histogram h({1.0, 10.0, 100.0});
-  h.observe(0.5);    // <= 1
-  h.observe(1.0);    // <= 1 (boundary is inclusive)
-  h.observe(1.001);  // <= 10
-  h.observe(100.0);  // <= 100
-  h.observe(100.5);  // overflow
-  const std::vector<std::int64_t> counts = h.bucket_counts();
-  ASSERT_EQ(counts.size(), 4u);
-  EXPECT_EQ(counts[0], 2);
-  EXPECT_EQ(counts[1], 1);
-  EXPECT_EQ(counts[2], 1);
-  EXPECT_EQ(counts[3], 1);
-  EXPECT_EQ(h.count(), 5);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.001 + 100.0 + 100.5);
-  EXPECT_DOUBLE_EQ(h.min(), 0.5);
-  EXPECT_DOUBLE_EQ(h.max(), 100.5);
-}
-
-TEST(Histogram, RejectsUnsortedBoundaries) {
-  EXPECT_THROW(Histogram({2.0, 1.0}), ContractViolation);
-  EXPECT_THROW(Histogram({1.0, 1.0}), ContractViolation);
-}
-
-TEST(Histogram, ExponentialBoundaries) {
-  const std::vector<double> edges = Histogram::exponential_boundaries(1.0, 2.0, 4);
-  EXPECT_EQ(edges, (std::vector<double>{1.0, 2.0, 4.0, 8.0}));
-  EXPECT_EQ(Histogram::default_latency_boundaries_us().size(), 24u);
+  // Latency-sketch buckets: exact below 32 (one value per bucket), then 16
+  // linear sub-buckets per power of two -- [40, 41] and [42, 43] at 40.
+  Histogram h;
+  for (const std::uint64_t v : {0ULL, 15ULL, 16ULL, 40ULL, 41ULL, 42ULL}) {
+    h.observe(v);
+  }
+  const LatencySketchSnapshot snap = h.snapshot();
+  ASSERT_EQ(snap.counts.size(), 38u);
+  EXPECT_EQ(snap.counts[0], 1u);
+  EXPECT_EQ(snap.counts[15], 1u);
+  EXPECT_EQ(snap.counts[16], 1u);
+  EXPECT_EQ(snap.counts[36], 2u);  // 40 and 41
+  EXPECT_EQ(snap.counts[37], 1u);  // 42
+  EXPECT_EQ(sketch_detail::bucket_upper_edge(36), 41u);
+  EXPECT_EQ(snap.count, 6u);
+  EXPECT_DOUBLE_EQ(snap.sum_ns, 154.0);
+  EXPECT_EQ(snap.min_ns, 0u);
+  EXPECT_EQ(snap.max_ns, 42u);
 }
 
 TEST(Histogram, MergeSumsBucketsAndExtrema) {
-  Histogram a({10.0, 20.0});
-  Histogram b({10.0, 20.0});
-  a.observe(5.0);
-  b.observe(15.0);
-  b.observe(25.0);
+  Histogram a;
+  Histogram b;
+  a.observe(5);
+  b.observe(15);
+  b.observe(25);
   a.merge(b);
-  EXPECT_EQ(a.count(), 3);
-  EXPECT_EQ(a.bucket_counts(), (std::vector<std::int64_t>{1, 1, 1}));
-  EXPECT_DOUBLE_EQ(a.min(), 5.0);
-  EXPECT_DOUBLE_EQ(a.max(), 25.0);
-  EXPECT_DOUBLE_EQ(a.sum(), 45.0);
+  const LatencySketchSnapshot snap = a.snapshot();
+  EXPECT_EQ(snap.count, 3u);
+  ASSERT_EQ(snap.counts.size(), 26u);
+  EXPECT_EQ(snap.counts[5] + snap.counts[15] + snap.counts[25], 3u);
+  EXPECT_EQ(snap.min_ns, 5u);
+  EXPECT_EQ(snap.max_ns, 25u);
+  EXPECT_DOUBLE_EQ(snap.sum_ns, 45.0);
 }
 
 TEST(Histogram, MergeOfEmptyKeepsExtrema) {
-  Histogram a({10.0});
-  Histogram empty({10.0});
-  a.observe(4.0);
+  Histogram a;
+  const Histogram empty;
+  a.observe(4);
   a.merge(empty);
-  EXPECT_EQ(a.count(), 1);
-  EXPECT_DOUBLE_EQ(a.min(), 4.0);
-  EXPECT_DOUBLE_EQ(a.max(), 4.0);
-}
-
-TEST(Histogram, MergeRequiresIdenticalBoundaries) {
-  Histogram a({10.0});
-  Histogram b({20.0});
-  EXPECT_THROW(a.merge(b), ContractViolation);
+  const LatencySketchSnapshot snap = a.snapshot();
+  EXPECT_EQ(snap.count, 1u);
+  EXPECT_EQ(snap.min_ns, 4u);
+  EXPECT_EQ(snap.max_ns, 4u);
 }
 
 // --------------------------------------------------------------- registry
@@ -109,15 +96,6 @@ TEST(MetricsRegistry, InstrumentsAreStableByName) {
   Histogram& h1 = registry.histogram("x.latency_us");
   Histogram& h2 = registry.histogram("x.latency_us");
   EXPECT_EQ(&h1, &h2);
-  EXPECT_EQ(h1.boundaries(), Histogram::default_latency_boundaries_us());
-}
-
-TEST(MetricsRegistry, HistogramReRegistrationMustAgreeOnBoundaries) {
-  MetricsRegistry registry;
-  const std::vector<double> edges{1.0, 2.0};
-  registry.histogram("h", &edges);
-  const std::vector<double> other{3.0};
-  EXPECT_THROW(registry.histogram("h", &other), ContractViolation);
 }
 
 TEST(MetricsRegistry, SnapshotSkipsUnsetGauges) {
@@ -136,17 +114,17 @@ TEST(MetricsRegistry, MergeIsAssociativeOnCountersAndHistograms) {
   left_a.counter("work.items").add(1);
   left_b.counter("work.items").add(2);
   left_c.counter("work.items").add(4);
-  left_a.histogram("work.size").observe(3.0);
-  left_b.histogram("work.size").observe(30.0);
-  left_c.histogram("work.size").observe(300.0);
+  left_a.histogram("work.size").observe(3);
+  left_b.histogram("work.size").observe(30);
+  left_c.histogram("work.size").observe(300);
 
   MetricsRegistry right_a, right_b, right_c;
   right_a.counter("work.items").add(1);
   right_b.counter("work.items").add(2);
   right_c.counter("work.items").add(4);
-  right_a.histogram("work.size").observe(3.0);
-  right_b.histogram("work.size").observe(30.0);
-  right_c.histogram("work.size").observe(300.0);
+  right_a.histogram("work.size").observe(3);
+  right_b.histogram("work.size").observe(30);
+  right_c.histogram("work.size").observe(300);
 
   left_a.merge(left_b);   // (a+b)
   left_a.merge(left_c);   // (a+b)+c
@@ -159,11 +137,11 @@ TEST(MetricsRegistry, MergeIsAssociativeOnCountersAndHistograms) {
   ASSERT_EQ(left.histograms.size(), right.histograms.size());
   const auto& lh = left.histograms.at("work.size");
   const auto& rh = right.histograms.at("work.size");
-  EXPECT_EQ(lh.bucket_counts, rh.bucket_counts);
+  EXPECT_EQ(lh.counts, rh.counts);
   EXPECT_EQ(lh.count, rh.count);
-  EXPECT_DOUBLE_EQ(lh.sum, rh.sum);
-  EXPECT_DOUBLE_EQ(lh.min, rh.min);
-  EXPECT_DOUBLE_EQ(lh.max, rh.max);
+  EXPECT_DOUBLE_EQ(lh.sum_ns, rh.sum_ns);
+  EXPECT_EQ(lh.min_ns, rh.min_ns);
+  EXPECT_EQ(lh.max_ns, rh.max_ns);
 }
 
 TEST(MetricsRegistry, MergeKeepsAlreadySetGauges) {
@@ -212,7 +190,7 @@ TEST(ScopedRegistry, InstallsNestsAndRestores) {
 TEST(ScopedRegistry, HelpersAreNoOpsWhenUninstalled) {
   ASSERT_EQ(current_registry(), nullptr);
   count("free.counter");
-  observe("free.histogram", 1.0);
+  observe("free.histogram", 1);
   set_gauge("free.gauge", 1.0);
   // Nothing to assert beyond "does not crash": there is no registry.
 }
@@ -256,8 +234,8 @@ TEST(TraceSpan, RecordsNestingDepthAndParent) {
   EXPECT_GE(spans[0].duration_us, spans[1].duration_us);
   // Each closed span also landed in the registry's span histogram.
   const MetricsSnapshot snap = registry.snapshot();
-  EXPECT_EQ(snap.histograms.at("span.run_us").count, 1);
-  EXPECT_EQ(snap.histograms.at("span.allocation_us").count, 1);
+  EXPECT_EQ(snap.histograms.at("span.run_us").count, 1u);
+  EXPECT_EQ(snap.histograms.at("span.allocation_us").count, 1u);
 }
 
 TEST(TraceSpan, NoOpWithoutCollectorOrRegistry) {
@@ -277,7 +255,7 @@ TEST(ScopedTimer, RecordsIntoRegistryOnly) {
     (void)timer;
   }
   EXPECT_TRUE(trace.empty());
-  EXPECT_EQ(registry.histogram("phase.duration_us").count(), 1);
+  EXPECT_EQ(registry.histogram("phase.duration_us").snapshot().count, 1u);
 }
 
 // -------------------------------------------------------------- exporters
@@ -286,11 +264,10 @@ void fill_golden_registry(MetricsRegistry& registry) {
   registry.counter("b.counter", "events of kind b").add(7);
   registry.counter("a.counter").add(3);  // no help: no # HELP line
   registry.gauge("g.level", "configured level knob").set(2.5);
-  const std::vector<double> edges{1.0, 10.0};
-  Histogram& h = registry.histogram("h.sizes", &edges, "observed sizes");
-  h.observe(1.0);
-  h.observe(4.0);
-  h.observe(40.0);
+  Histogram& h = registry.histogram("h.sizes", "observed sizes");
+  h.observe(1);
+  h.observe(4);
+  h.observe(40);  // sketch bucket [40, 41]
 }
 
 TEST(Exporters, JsonGolden) {
@@ -304,7 +281,7 @@ TEST(Exporters, JsonGolden) {
             "\"gauges\":{\"g.level\":2.5},"
             "\"histograms\":{\"h.sizes\":{\"count\":3,\"sum\":45,\"min\":1,"
             "\"max\":40,\"buckets\":[{\"le\":1,\"count\":1},"
-            "{\"le\":10,\"count\":1},{\"le\":\"+Inf\",\"count\":1}]}}}\n");
+            "{\"le\":4,\"count\":1},{\"le\":41,\"count\":1}]}}}\n");
 }
 
 TEST(Exporters, JsonIncludesTraceWhenGiven) {
@@ -339,8 +316,8 @@ TEST(Exporters, CsvGolden) {
             "histogram,h.sizes,min,1\n"
             "histogram,h.sizes,max,40\n"
             "histogram,h.sizes,le=1,1\n"
-            "histogram,h.sizes,le=10,1\n"
-            "histogram,h.sizes,le=+Inf,1\n");
+            "histogram,h.sizes,le=4,1\n"
+            "histogram,h.sizes,le=41,1\n");
 }
 
 TEST(Exporters, PrometheusGolden) {
@@ -360,7 +337,8 @@ TEST(Exporters, PrometheusGolden) {
             "# HELP mcs_h_sizes observed sizes\n"
             "# TYPE mcs_h_sizes histogram\n"
             "mcs_h_sizes_bucket{le=\"1\"} 1\n"
-            "mcs_h_sizes_bucket{le=\"10\"} 2\n"
+            "mcs_h_sizes_bucket{le=\"4\"} 2\n"
+            "mcs_h_sizes_bucket{le=\"41\"} 3\n"
             "mcs_h_sizes_bucket{le=\"+Inf\"} 3\n"
             "mcs_h_sizes_sum 45\n"
             "mcs_h_sizes_count 3\n");
@@ -426,59 +404,51 @@ TEST(MetricsRegistry, MergeAdoptsMissingHelp) {
 
 // -------------------------------------------------------------- quantiles
 
-MetricsSnapshot::HistogramData snapshot_histogram(const Histogram& h) {
-  MetricsSnapshot::HistogramData data;
-  data.boundaries = h.boundaries();
-  data.bucket_counts = h.bucket_counts();
-  data.count = h.count();
-  data.sum = h.sum();
-  data.min = h.min();
-  data.max = h.max();
-  return data;
+// The registry histogram's quantiles are its sketch's: LatencySketchSnapshot
+// interpolates on its own buckets.
+
+LatencySketchSnapshot sketch_of(const std::vector<std::uint64_t>& values) {
+  Histogram h;
+  for (const std::uint64_t v : values) h.observe(v);
+  return h.snapshot();
 }
 
 TEST(EstimateQuantile, ExactBucketBoundaryAndExtrema) {
-  Histogram h({10.0, 20.0, 30.0});
-  for (const double v : {2.0, 4.0, 6.0, 8.0, 10.0}) h.observe(v);    // <= 10
-  for (const double v : {12.0, 14.0, 16.0, 18.0, 20.0}) h.observe(v);  // <= 20
-  const MetricsSnapshot::HistogramData data = snapshot_histogram(h);
-  // The p50 rank (5 of 10) lands exactly on the first bucket's upper edge.
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 0.50), 10.0);
+  const LatencySketchSnapshot sketch =
+      sketch_of({2, 4, 6, 8, 10, 12, 14, 16, 18, 20});
+  // The p50 rank (5 of 10) lands exactly on the upper edge of 10's bucket.
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(0.50), 10.0);
   // q <= 0 / q >= 1 return the tracked extrema, not bucket edges.
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 0.0), 2.0);
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 1.0), 20.0);
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(0.0), 2.0);
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(1.0), 20.0);
 }
 
 TEST(EstimateQuantile, InterpolatesWithinBucket) {
-  Histogram h({10.0, 20.0, 30.0});
-  for (const double v : {2.0, 4.0, 6.0, 8.0, 10.0}) h.observe(v);
-  for (const double v : {12.0, 14.0, 16.0, 18.0, 20.0}) h.observe(v);
-  const MetricsSnapshot::HistogramData data = snapshot_histogram(h);
-  // Rank 7.5 of 10: halfway through the (10, 20] bucket.
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 0.75), 15.0);
-  // The first bucket interpolates from the observed min, not from zero.
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 0.25), 2.0 + (10.0 - 2.0) * 0.5);
+  // Five samples in [64, 67], four in [120, 123], one far above.
+  const LatencySketchSnapshot sketch =
+      sketch_of({64, 65, 66, 67, 67, 120, 120, 121, 123, 1000});
+  // Rank 7 of 10: halfway through the [120, 123] bucket, which opens at
+  // the upper edge 119 of the bucket below.
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(0.70), 119.0 + (123.0 - 119.0) * 0.5);
+  // The first occupied bucket interpolates from the observed min (64),
+  // not from the edge 63 below it.
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(0.25), 64.0 + (67.0 - 64.0) * 0.5);
 }
 
 TEST(EstimateQuantile, OverflowBucketInterpolatesTowardMax) {
-  Histogram h({10.0});
-  h.observe(5.0);
-  h.observe(15.0);
-  h.observe(25.0);
-  h.observe(35.0);
-  const MetricsSnapshot::HistogramData data = snapshot_histogram(h);
-  // Rank 3.96 of 4 lies in the +Inf bucket: interpolate between the last
-  // finite edge (10) and the observed max (35).
-  const double p99 = estimate_quantile(data, 0.99);
-  EXPECT_NEAR(p99, 10.0 + (35.0 - 10.0) * ((3.96 - 1.0) / 3.0), 1e-9);
-  EXPECT_LE(p99, data.max);
-  EXPECT_DOUBLE_EQ(estimate_quantile(data, 1.0), 35.0);
+  // 1000, 1001 and 1010 share the bucket [992, 1023].
+  const LatencySketchSnapshot sketch = sketch_of({5, 1000, 1001, 1010});
+  // Rank 3.96 of 4 lies in the highest occupied bucket: interpolate
+  // between the edge below it (991) and the observed max (1010), not the
+  // bucket's upper edge 1023.
+  const double p99 = sketch.quantile_ns(0.99);
+  EXPECT_NEAR(p99, 991.0 + (1010.0 - 991.0) * ((3.96 - 1.0) / 3.0), 1e-9);
+  EXPECT_LE(p99, 1010.0);
+  EXPECT_DOUBLE_EQ(sketch.quantile_ns(1.0), 1010.0);
 }
 
 TEST(EstimateQuantile, EmptyHistogramIsNaN) {
-  Histogram h({10.0});
-  const MetricsSnapshot::HistogramData data = snapshot_histogram(h);
-  EXPECT_TRUE(std::isnan(estimate_quantile(data, 0.5)));
+  EXPECT_TRUE(std::isnan(sketch_of({}).quantile_ns(0.5)));
 }
 
 // ----------------------------------------------------------- chrome trace

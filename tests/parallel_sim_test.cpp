@@ -122,14 +122,13 @@ TEST(ParallelSim, MergedTelemetryMatchesSequential) {
     // so even its bucket layout must reduce exactly.
     const auto& seq_pool = sequential.histograms.at("auction.greedy.pool_size");
     const auto& par_pool = parallel.histograms.at("auction.greedy.pool_size");
-    EXPECT_EQ(par_pool.bucket_counts, seq_pool.bucket_counts)
-        << "threads=" << threads;
+    EXPECT_EQ(par_pool.counts, seq_pool.counts) << "threads=" << threads;
     EXPECT_EQ(par_pool.count, seq_pool.count);
-    EXPECT_DOUBLE_EQ(par_pool.sum, seq_pool.sum);
+    EXPECT_DOUBLE_EQ(par_pool.sum_ns, seq_pool.sum_ns);
 
     // Wall-clock histograms vary in values but not in sample counts.
     EXPECT_EQ(parallel.histograms.at("sim.repetition_duration_us").count,
-              static_cast<std::int64_t>(config.repetitions));
+              static_cast<std::uint64_t>(config.repetitions));
   }
 }
 

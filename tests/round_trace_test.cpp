@@ -23,6 +23,15 @@ TEST(RoundTraceId, DeterministicAndDistinct) {
   EXPECT_NE(trace_id_of(0), 0u) << "round 0 must still get a non-zero id";
 }
 
+TEST(RoundTraceId, PinnedToSplitMix64OfTheRound) {
+  // Trace ids are part of the mcs.trace.v1 output; they must not move.
+  EXPECT_EQ(trace_id_of(0), 0xe220a8397b1dcdafULL);
+  EXPECT_EQ(trace_id_of(1), 0x910a2dec89025cc1ULL);
+  EXPECT_EQ(trace_id_of(12345), 0x22118258a9d111a0ULL);
+  EXPECT_EQ(trace_id_of(-1), 0xe4d971771b652c20ULL);
+  EXPECT_EQ(format_trace_id(trace_id_of(7)), "63cbe1e459320dd7");
+}
+
 TEST(RoundTraceId, FormatsAsFixedWidthLowercaseHex) {
   EXPECT_EQ(format_trace_id(0), "0000000000000000");
   EXPECT_EQ(format_trace_id(0xabcULL), "0000000000000abc");

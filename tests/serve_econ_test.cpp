@@ -93,6 +93,22 @@ TEST(EconSentinel, ProbeSamplerIsDeterministicAndSeeded) {
   EXPECT_LT(agree, 4096);
 }
 
+TEST(EconSentinel, ProbeSamplerIsPinned) {
+  // Which rounds get deep-probed is part of the econ plane's output; the
+  // sampled sets must not move under a refactor of the mixer.
+  const auto sampled_below_32 = [](std::uint64_t seed) {
+    std::vector<std::int64_t> rounds;
+    for (std::int64_t round = 0; round < 32; ++round) {
+      if (econ_probe_sampled(round, 4, seed)) rounds.push_back(round);
+    }
+    return rounds;
+  };
+  EXPECT_EQ(sampled_below_32(0),
+            (std::vector<std::int64_t>{6, 9, 19, 20, 24, 28, 29}));
+  EXPECT_EQ(sampled_below_32(99),
+            (std::vector<std::int64_t>{4, 5, 7, 8, 15, 16, 18, 25, 28}));
+}
+
 // --------------------------------------------------------------- sentinel
 
 TEST(EconSentinel, CleanRoundProducesNoViolations) {

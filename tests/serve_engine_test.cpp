@@ -75,6 +75,19 @@ void expect_same_outcomes(const std::vector<RoundOutcome>& a,
 
 // ----------------------------------------------- streaming/batch oracle
 
+TEST(ServeEngine, ShardOfRoundIsPinned) {
+  // The round -> shard map decides which worker serves a round; it must
+  // not move under a refactor of its mixer.
+  EXPECT_EQ(shard_of_round(0, 4), 3);
+  EXPECT_EQ(shard_of_round(1, 4), 1);
+  EXPECT_EQ(shard_of_round(7, 4), 3);
+  EXPECT_EQ(shard_of_round(12345, 4), 0);
+  EXPECT_EQ(shard_of_round(-1, 4), 0);
+  EXPECT_EQ(shard_of_round(0, 7), 2);
+  EXPECT_EQ(shard_of_round(12345, 7), 5);
+  EXPECT_EQ(shard_of_round(12345, 1), 0);
+}
+
 TEST(ServeEngine, StreamedOutcomesMatchBatchMechanism_Shards1And4) {
   // The acceptance oracle: replaying a generated event file through the
   // sharded engine reproduces the batch OnlineGreedyMechanism outcome

@@ -561,6 +561,15 @@ int cmd_bench_diff(int argc, const char* const* argv) {
   return report.regression(options) ? 1 : 0;
 }
 
+/// `--name` as a count; a negative value would wrap around on the way to
+/// an unsigned size.
+std::uint64_t non_negative_flag(const io::CliParser& cli,
+                                const std::string& name) {
+  const std::int64_t value = cli.get_int(name);
+  if (value < 0) throw InvalidArgumentError("--" + name + " must be >= 0");
+  return static_cast<std::uint64_t>(value);
+}
+
 /// Splits "[HOST:]PORT"; the host defaults to loopback.
 std::pair<std::string, int> parse_endpoint(const std::string& spec) {
   const std::size_t colon = spec.rfind(':');
@@ -745,8 +754,7 @@ int cmd_serve(int argc, const char* const* argv) {
 
   serve::ServeConfig config;
   config.shards = static_cast<int>(cli.get_int("shards"));
-  config.queue_capacity =
-      static_cast<std::size_t>(cli.get_int("queue-depth"));
+  config.queue_capacity = non_negative_flag(cli, "queue-depth");
   const std::string admission = cli.get_string("admission");
   if (admission == "block") {
     config.admission = serve::ServeConfig::Admission::kBlock;
@@ -849,11 +857,13 @@ int cmd_serve(int argc, const char* const* argv) {
   std::unique_ptr<serve::TracePlane> trace_plane;
   if (!trace_jsonl_path.empty() || !trace_chrome_path.empty()) {
     serve::TracePlaneConfig trace_config;
-    trace_config.ring_capacity =
-        static_cast<std::size_t>(cli.get_int("trace-capacity"));
-    trace_config.slow_threshold_ns =
-        static_cast<std::uint64_t>(cli.get_int("trace-threshold-us")) *
-        1000ULL;
+    trace_config.ring_capacity = non_negative_flag(cli, "trace-capacity");
+    const std::uint64_t threshold_us =
+        non_negative_flag(cli, "trace-threshold-us");
+    if (threshold_us > ~std::uint64_t{0} / 1000) {
+      throw InvalidArgumentError("--trace-threshold-us is too large");
+    }
+    trace_config.slow_threshold_ns = threshold_us * 1000;
     trace_plane = std::make_unique<serve::TracePlane>(trace_config);
     config.trace = trace_plane.get();
   }
@@ -1377,7 +1387,9 @@ int main(int argc, char** argv) {
     }
     const int code = dispatch(subcommand, argc - 1, argv + 1);
     return code == -1 ? unknown_subcommand(subcommand) : code;
-  } catch (const mcs::Error& e) {
+  } catch (const std::exception& e) {
+    // mcs::Error and anything else thrown on the main thread (say a
+    // std::bad_alloc): a runtime failure, never std::terminate.
     std::cerr << "error: " << e.what() << '\n';
     return 1;
   }

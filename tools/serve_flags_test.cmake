@@ -1,0 +1,31 @@
+# `serve` must reject out-of-range size flags as a runtime error: exit 1
+# with "error: <what>" on stderr. A negative value must neither wrap to a
+# huge unsigned size (an abort on allocation, or a trace threshold of
+# 1.8e16 us) nor end in std::terminate, and a threshold too large for
+# nanoseconds must not wrap either.
+
+# expect_rejected(<stderr regex> <serve args>...)
+function(expect_rejected message)
+  list(JOIN ARGN " " args)
+  execute_process(COMMAND ${CLI} serve --rounds 2 --slots 5 ${ARGN}
+                  WORKING_DIRECTORY ${WORKDIR}
+                  RESULT_VARIABLE code
+                  OUTPUT_VARIABLE out
+                  ERROR_VARIABLE err)
+  if(NOT code EQUAL 1)
+    message(FATAL_ERROR "serve ${args}: want exit 1, got ${code}:\n${out}\n${err}")
+  endif()
+  if(NOT err MATCHES "error: ${message}")
+    message(FATAL_ERROR "serve ${args}: stderr lacks \"error: ${message}\":\n${err}")
+  endif()
+endfunction()
+
+set(TRACE ${WORKDIR}/serve_flags_test_trace.jsonl)
+expect_rejected("--queue-depth must be >= 0" --queue-depth -1)
+expect_rejected("--trace-capacity must be >= 0"
+                --trace-jsonl ${TRACE} --trace-capacity -1)
+expect_rejected("--trace-threshold-us must be >= 0"
+                --trace-jsonl ${TRACE} --trace-threshold-us -1)
+expect_rejected("--trace-threshold-us is too large"
+                --trace-jsonl ${TRACE} --trace-threshold-us 20000000000000000)
+file(REMOVE ${TRACE})
