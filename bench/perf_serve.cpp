@@ -161,8 +161,7 @@ void pipeline_bench(benchmark::State& state, const std::string& stream) {
     config.admission = serve::ServeConfig::Admission::kBlock;
     serve::ServeEngine engine(config);
     std::istringstream is(stream);
-    const serve::ReplayStats replayed =
-        serve::replay_event_stream(is, engine, /*batch=*/true);
+    const serve::ReplayStats replayed = serve::replay_event_stream(is, engine);
     engine.drain();
     events = replayed.events;
     benchmark::DoNotOptimize(engine.stats());
@@ -186,7 +185,7 @@ void BM_ServePipelineWire(benchmark::State& state) {
   serve::LoadGenConfig load;
   load.rounds = 16;
   load.seed = 7;
-  serve::write_wire_stream(recorded, load);
+  serve::write_event_stream(recorded, load, serve::WireFormat::kBinary);
   pipeline_bench(state, recorded.str());
 }
 BENCHMARK(BM_ServePipelineWire)->UseRealTime();

@@ -131,8 +131,8 @@ void diff_deterministic_histogram(
   } else if (baseline.counts != candidate.counts) {
     what = "bucket counts shifted";
   } else if (baseline.sum_ns != candidate.sum_ns) {
-    what = "sum " + format_number(baseline.sum_ns) + " -> " +
-           format_number(candidate.sum_ns);
+    what = "sum " + std::to_string(baseline.sum_ns) + " -> " +
+           std::to_string(candidate.sum_ns);
   }
   if (!what.empty()) {
     report.histogram_drifts.push_back({bench, name, std::move(what)});
@@ -230,7 +230,7 @@ obs::LatencySketchSnapshot histogram_from_json(const io::JsonValue& value,
   };
   obs::LatencySketchSnapshot sketch;
   sketch.count = count_at(value, "count");
-  sketch.sum_ns = value.at("sum").as_number();
+  sketch.sum_ns = value_at(value, "sum");
   if (sketch.count > 0) {
     sketch.min_ns = value_at(value, "min");
     sketch.max_ns = value_at(value, "max");

@@ -36,7 +36,7 @@ void write_histogram_json(io::JsonWriter& json,
                           const LatencySketchSnapshot& sketch) {
   json.begin_object();
   json.field("count", i64(sketch.count));
-  json.field("sum", sketch.sum_ns);
+  json.field("sum", i64(sketch.sum_ns));
   if (!sketch.empty()) {
     json.field("min", i64(sketch.min_ns));
     json.field("max", i64(sketch.max_ns));
@@ -145,7 +145,7 @@ void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry) {
   }
   for (const auto& [name, sketch] : snap.histograms) {
     csv.write_row({"histogram", name, "count", std::to_string(sketch.count)});
-    csv.write_row({"histogram", name, "sum", format_number(sketch.sum_ns)});
+    csv.write_row({"histogram", name, "sum", std::to_string(sketch.sum_ns)});
     if (!sketch.empty()) {
       csv.write_row({"histogram", name, "min", std::to_string(sketch.min_ns)});
       csv.write_row({"histogram", name, "max", std::to_string(sketch.max_ns)});
@@ -205,7 +205,7 @@ void write_prometheus(std::ostream& os, const MetricsRegistry& registry) {
     });
     // The exposition format requires the +Inf bucket.
     os << id << "_bucket{le=\"+Inf\"} " << sketch.count << '\n'
-       << id << "_sum " << format_number(sketch.sum_ns) << '\n'
+       << id << "_sum " << std::to_string(sketch.sum_ns) << '\n'
        << id << "_count " << sketch.count << '\n';
   }
 }

@@ -121,7 +121,7 @@ void LatencySketchSnapshot::record_ns(std::uint64_t ns) {
   min_ns = count == 0 ? ns : std::min(min_ns, ns);
   max_ns = std::max(max_ns, ns);
   ++count;
-  sum_ns += static_cast<double>(ns);
+  sum_ns += ns;
 }
 
 }  // namespace mcs::obs

@@ -47,7 +47,7 @@ struct LatencySketchSnapshot {
   /// Per-bucket counts, trimmed after the highest non-empty bucket.
   std::vector<std::uint64_t> counts;
   std::uint64_t count{0};
-  double sum_ns{0.0};
+  std::uint64_t sum_ns{0};  ///< exact: every sample is an integer
   /// Exact observed extrema (recorded sketches). Deltas reconstruct them
   /// from the occupied bucket edges instead (documented 6.25% bound).
   std::uint64_t min_ns{0};
@@ -55,7 +55,9 @@ struct LatencySketchSnapshot {
 
   [[nodiscard]] bool empty() const { return count == 0; }
   [[nodiscard]] double mean_ns() const {
-    return count == 0 ? 0.0 : sum_ns / static_cast<double>(count);
+    return count == 0
+               ? 0.0
+               : static_cast<double>(sum_ns) / static_cast<double>(count);
   }
 
   /// Bucket-interpolated quantile (Prometheus histogram_quantile

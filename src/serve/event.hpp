@@ -24,6 +24,7 @@
 // byte-identically, which the replay determinism tests pin.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <optional>
@@ -46,6 +47,12 @@ inline constexpr std::string_view kServeSchema = "mcs.serve.v1";
 /// cap so the two formats accept exactly the same streams (the
 /// differential fuzz pins this).
 inline constexpr std::int64_t kMaxServeRound = (std::int64_t{1} << 53) - 1;
+
+/// Longest admissible JSONL line, newline excluded: the JSONL analogue of
+/// kMaxWireFrameBytes. The longest canonical line is about 130 bytes; the
+/// stream decoder rejects a line as soon as its buffered part is longer,
+/// so a peer that never sends a newline cannot grow a buffer.
+inline constexpr std::size_t kMaxServeLineBytes = 4096;
 
 enum class ServeEventKind {
   kRoundOpen,     ///< a new auction round begins (carries horizon + nu)

@@ -2,12 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <ostream>
 #include <thread>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "serve/wire.hpp"
 
 namespace mcs::serve {
 
@@ -62,34 +60,15 @@ std::int64_t generate_events(
   return emitted;
 }
 
-std::int64_t write_event_stream(std::ostream& os,
-                                const LoadGenConfig& config) {
-  write_stream_header(os);
-  return generate_events(config, [&os](const ServeEvent& event) {
-    write_serve_event(os, event);
+std::int64_t write_event_stream(std::ostream& os, const LoadGenConfig& config,
+                                WireFormat format) {
+  StreamEncoder encoder(format, write_to(os));
+  generate_events(config, [&](const ServeEvent& event) {
+    encoder.add(event);
     return static_cast<bool>(os);
   });
-}
-
-std::int64_t write_wire_stream(std::ostream& os,
-                               const LoadGenConfig& config) {
-  // Frames are encoded into a reused buffer and flushed in chunks so the
-  // stream write cost is amortized like the engine's batched handoff.
-  std::string buffer;
-  append_wire_header(buffer);
-  const std::int64_t frames =
-      generate_events(config, [&](const ServeEvent& event) {
-        append_wire_frame(buffer, event);
-        if (buffer.size() >= std::size_t{64} * 1024) {
-          os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-          buffer.clear();
-        }
-        return static_cast<bool>(os);
-      });
-  if (!buffer.empty()) {
-    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
-  }
-  return frames;
+  encoder.flush();
+  return encoder.events();
 }
 
 PaceReport run_paced_load(

@@ -19,6 +19,7 @@
 #include "model/workload.hpp"
 #include "obs/wallclock.hpp"
 #include "serve/event.hpp"
+#include "serve/wire.hpp"
 
 namespace mcs::serve {
 
@@ -45,13 +46,11 @@ std::int64_t generate_events(
     const LoadGenConfig& config,
     const std::function<bool(const ServeEvent&)>& emit);
 
-/// Writes the whole load as an mcs.serve.v1 JSONL stream (header line
-/// first). Returns the number of events written (header excluded).
-std::int64_t write_event_stream(std::ostream& os, const LoadGenConfig& config);
-
-/// Writes the whole load as an mcs.serve.b1 binary stream (stream header
-/// first). Returns the number of frames written (header excluded).
-std::int64_t write_wire_stream(std::ostream& os, const LoadGenConfig& config);
+/// Writes the whole load as a serve stream in `format` (mcs.serve.v1
+/// JSONL by default, or mcs.serve.b1), header first. Returns the number of
+/// events written (header excluded).
+std::int64_t write_event_stream(std::ostream& os, const LoadGenConfig& config,
+                                WireFormat format = WireFormat::kJsonl);
 
 // --------------------------------------------------- open-loop pacing mode
 

@@ -1,12 +1,10 @@
 // Replaying a recorded serve stream (either wire format) through the
-// engine.
+// engine: read_serve_stream (the one StreamDecoder, see serve/wire.hpp)
+// plus a ShardBatcher as the submit front, sized by the engine's
+// batch_size (1 submits event by event).
 //
-// The decoder treats the stream as untrusted bytes. JSONL goes through
-// io::parse_json (hardened against truncation, deep nesting, and invalid
-// escapes) plus the strict field checks of decode_serve_event; binary
-// (mcs.serve.b1, autodetected by its magic) goes through the equally
-// strict decode_wire_frame. A corrupt stream produces a clean
-// InvalidArgumentError naming the line (JSONL) or byte region (binary) --
+// The stream is untrusted bytes. A corrupt stream produces a clean
+// InvalidArgumentError naming the line (JSONL) or byte offset (binary) --
 // never UB. Admission rejections (kReject policy under load) are counted,
 // not fatal: shedding is the policy working as configured.
 #pragma once
@@ -19,21 +17,15 @@
 namespace mcs::serve {
 
 struct ReplayStats {
-  /// Non-empty JSONL lines consumed, header included (0 for a binary
-  /// stream -- frames are not line-shaped).
-  std::int64_t lines{0};
   std::int64_t events{0};    ///< events decoded
   std::int64_t accepted{0};  ///< events the engine admitted
   std::int64_t shed{0};      ///< events rejected by admission control
 };
 
 /// Feeds every event of `is` into `engine` (the caller drains
-/// afterwards), autodetecting the wire format. When `batch` is true the
-/// events are handed over through a ShardBatcher sized by the engine's
-/// batch_size (shed accounting then has batch granularity). Throws
-/// InvalidArgumentError on malformed input; blank JSONL lines are
-/// skipped, a header line may appear anywhere but is only expected first.
-ReplayStats replay_event_stream(std::istream& is, ServeEngine& engine,
-                                bool batch = false);
+/// afterwards). With a batch_size above 1, shed accounting has batch
+/// granularity. Throws InvalidArgumentError on malformed input or when
+/// the engine is shut down.
+ReplayStats replay_event_stream(std::istream& is, ServeEngine& engine);
 
 }  // namespace mcs::serve

@@ -38,40 +38,11 @@ sockaddr_in make_addr(const std::string& host, int port) {
   return addr;
 }
 
-/// Newline-splitting decoder for JSONL connections: the per-connection
-/// mirror of WireDecoder, so both formats share the reader loop.
-class LineDecoder {
- public:
-  std::int64_t feed(std::string_view bytes,
-                    const SocketServer::Sink& sink) {
-    std::int64_t events = 0;
-    carry_.append(bytes);
-    std::size_t start = 0;
-    for (std::size_t nl = carry_.find('\n', start);
-         nl != std::string::npos; nl = carry_.find('\n', start)) {
-      const std::string_view line(carry_.data() + start, nl - start);
-      start = nl + 1;
-      if (line.empty()) continue;
-      if (const std::optional<ServeEvent> event = decode_serve_line(line)) {
-        ++events;
-        sink(*event);
-      }
-    }
-    carry_.erase(0, start);
-    return events;
-  }
-
-  [[nodiscard]] bool idle() const { return carry_.empty(); }
-
- private:
-  std::string carry_;
-};
-
 }  // namespace
 
 // ------------------------------------------------------------ SocketServer
 
-SocketServer::SocketServer(SocketServerConfig config, Sink sink)
+SocketServer::SocketServer(SocketServerConfig config, EventSink sink)
     : config_(std::move(config)), sink_(std::move(sink)) {}
 
 SocketServer::~SocketServer() { stop(); }
@@ -210,45 +181,30 @@ bool SocketServer::accept_one(bool blocking) {
 }
 
 void SocketServer::connection_loop(int fd) {
-  WireDecoder wire;
-  LineDecoder lines;
-  bool format_known = false;
-  bool binary = false;
+  StreamDecoder decoder;
   bool failed = false;
   char chunk[1 << 16];
-  const Sink count_and_forward = [this](const ServeEvent& event) {
+  const EventSink count_and_forward = [this](const ServeEvent& event) {
     // A throwing sink (e.g. the engine rejecting after stop()) poisons
     // this connection exactly like a decode error would.
     sink_(event);
     events_.fetch_add(1, std::memory_order_relaxed);
   };
-  while (true) {
-    const ssize_t got = ::read(fd, chunk, sizeof chunk);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      failed = true;
-      break;
-    }
-    if (got == 0) break;  // clean EOF (or shutdown() from stop())
-    const std::string_view bytes(chunk, static_cast<std::size_t>(got));
-    if (!format_known) {
-      binary = bytes.front() == kWireMagic[0];
-      format_known = true;
-    }
-    try {
-      if (binary) {
-        wire.feed(bytes, count_and_forward);
-      } else {
-        lines.feed(bytes, count_and_forward);
+  try {
+    while (true) {
+      const ssize_t got = ::read(fd, chunk, sizeof chunk);
+      if (got < 0) {
+        if (errno == EINTR) continue;
+        failed = true;
+        break;
       }
-    } catch (const Error&) {
-      failed = true;  // malformed input: drop only this connection
-      break;
+      if (got == 0) break;  // clean EOF (or shutdown() from stop())
+      decoder.feed(std::string_view(chunk, static_cast<std::size_t>(got)),
+                   count_and_forward);
     }
-  }
-  if (!failed && format_known) {
-    // A stream that ends mid-frame (or mid-line) was truncated.
-    failed = binary ? (!wire.idle() || !wire.header_seen()) : !lines.idle();
+    if (!failed) decoder.finish(count_and_forward);
+  } catch (const Error&) {
+    failed = true;  // malformed or truncated input: drop only this connection
   }
   ::shutdown(fd, SHUT_RDWR);
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -8,10 +8,11 @@
 // the server's sink (the engine's submit path, which is already
 // thread-safe and applies the usual admission policy).
 //
-// Per-connection format autodetection: a connection that opens with the
-// binary magic 'M' ('MCSB'...) is decoded as mcs.serve.b1 frames through a
-// WireDecoder; anything else is treated as mcs.serve.v1 JSONL, split on
-// newlines. Malformed input poisons only its own connection -- the
+// Each connection carries one stream, decoded by its own StreamDecoder
+// (serve/wire.hpp) -- the decoder replay and transcode use -- so a
+// connection sniffs its format from its first byte, buffers at most one
+// capped line or frame, and ends under the same EOF rule as a file.
+// Malformed or truncated input poisons only its own connection -- the
 // connection is dropped and counted in stats().decode_errors; other
 // connections and the engine keep running. That containment is what makes
 // the socket path safe to expose to untrusted producers.
@@ -23,7 +24,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -48,11 +48,9 @@ struct SocketServerStats {
 
 class SocketServer {
  public:
-  using Sink = std::function<void(const ServeEvent&)>;
-
   /// `sink` is invoked from connection reader threads, potentially
   /// concurrently; it must be thread-safe (ServeEngine::submit is).
-  SocketServer(SocketServerConfig config, Sink sink);
+  SocketServer(SocketServerConfig config, EventSink sink);
   ~SocketServer();
 
   SocketServer(const SocketServer&) = delete;
@@ -88,7 +86,7 @@ class SocketServer {
   void close_fds();
 
   SocketServerConfig config_;
-  Sink sink_;
+  EventSink sink_;
   int listen_fd_{-1};
   int wake_pipe_[2]{-1, -1};  ///< self-pipe: stop() wakes the acceptor poll
   int port_{0};

@@ -2,7 +2,9 @@
 
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string>
+#include <utility>
 
 #include "common/error.hpp"
 
@@ -265,50 +267,7 @@ std::optional<DecodedFrame> decode_wire_frame(std::string_view bytes) {
   }
 }
 
-std::int64_t WireDecoder::feed(
-    std::string_view bytes,
-    const std::function<void(const ServeEvent&)>& sink) {
-  if (poisoned_) bad_frame("decoder already failed on this stream");
-  std::int64_t events = 0;
-  // Fast path: decode directly out of the caller's chunk; only the
-  // partial tail is ever copied into the carry buffer.
-  std::string_view view = bytes;
-  if (!carry_.empty()) {
-    carry_.append(bytes);
-    view = carry_;
-  }
-  std::size_t consumed = 0;
-  try {
-    while (consumed < view.size()) {
-      const std::string_view rest = view.substr(consumed);
-      if (!header_done_) {
-        const std::optional<std::size_t> header = decode_wire_header(rest);
-        if (!header) break;  // incomplete header prefix
-        consumed += *header;
-        header_done_ = true;
-        continue;
-      }
-      const std::optional<DecodedFrame> frame = decode_wire_frame(rest);
-      if (!frame) break;  // incomplete frame prefix
-      consumed += frame->consumed;
-      ++events;
-      ++decoded_;
-      sink(frame->event);
-    }
-  } catch (...) {
-    poisoned_ = true;
-    carry_.clear();
-    throw;
-  }
-  if (view.data() == carry_.data()) {
-    carry_.erase(0, consumed);
-  } else if (consumed < view.size()) {
-    carry_.assign(view.substr(consumed));
-  }
-  return events;
-}
-
-// ------------------------------------------------------ stream transcoding
+// ------------------------------------------------------------ the stream
 
 std::string_view to_string(WireFormat format) {
   switch (format) {
@@ -320,88 +279,205 @@ std::string_view to_string(WireFormat format) {
   return "unknown";
 }
 
-WireFormat detect_stream_format(std::istream& is) {
-  const std::streampos pos = is.tellg();
-  if (pos == std::streampos(-1)) {
-    // Unseekable source: a single peeked byte still separates the formats
-    // (a JSONL stream begins with '{' or whitespace, never 'M').
-    return is.peek() == 'M' ? WireFormat::kBinary : WireFormat::kJsonl;
+void StreamDecoder::check_line_length(std::size_t bytes) const {
+  if (bytes > kMaxServeLineBytes) {
+    throw InvalidArgumentError("line " + std::to_string(lines_ + 1) +
+                               ": longer than " +
+                               std::to_string(kMaxServeLineBytes) + " bytes");
   }
-  char magic[sizeof kWireMagic] = {};
-  is.read(magic, sizeof magic);
-  const bool binary =
-      is.gcount() == sizeof magic &&
-      std::string_view(magic, sizeof magic) ==
-          std::string_view(kWireMagic, sizeof kWireMagic);
-  is.clear();
-  is.seekg(pos);
-  return binary ? WireFormat::kBinary : WireFormat::kJsonl;
 }
 
-std::int64_t read_serve_stream(
-    std::istream& is, const std::function<void(const ServeEvent&)>& sink) {
-  std::int64_t events = 0;
-  if (detect_stream_format(is) == WireFormat::kBinary) {
-    WireDecoder decoder;
-    char chunk[1 << 16];
-    std::uint64_t offset = 0;
-    while (is.read(chunk, sizeof chunk) || is.gcount() > 0) {
-      const auto got = static_cast<std::size_t>(is.gcount());
-      try {
-        events += decoder.feed(std::string_view(chunk, got), sink);
-      } catch (const Error& e) {
-        throw InvalidArgumentError("binary stream (chunk at byte " +
-                                   std::to_string(offset) + "): " + e.what());
-      }
-      offset += got;
-    }
-    if (!decoder.idle() || !decoder.header_seen()) {
-      throw InvalidArgumentError(
-          "binary stream: truncated (ends mid-frame or without a header)");
-    }
-    return events;
+std::int64_t StreamDecoder::feed(std::string_view bytes,
+                                 const EventSink& sink) {
+  if (closed_) {
+    throw InvalidArgumentError(
+        "serve stream: input after an error or finish()");
   }
-  std::string line;
-  std::int64_t line_number = 0;
-  while (std::getline(is, line)) {
-    ++line_number;
-    if (line.empty()) continue;
-    std::optional<ServeEvent> event;
+  if (bytes.empty()) return 0;
+  if (!format_) {
+    format_ = bytes.front() == kWireMagic[0] ? WireFormat::kBinary
+                                             : WireFormat::kJsonl;
+  }
+  const std::int64_t before = decoded_;
+  closed_ = true;  // stays set when decoding or the sink throws
+  if (*format_ == WireFormat::kBinary) {
+    feed_binary(bytes, sink);
+  } else {
+    feed_jsonl(bytes, sink);
+  }
+  closed_ = false;
+  return decoded_ - before;
+}
+
+void StreamDecoder::decode_line(std::string_view line, const EventSink& sink) {
+  check_line_length(line.size());
+  ++lines_;
+  if (line.empty()) return;
+  std::optional<ServeEvent> event;
+  try {
+    event = decode_serve_line(line);
+  } catch (const Error& e) {
+    throw InvalidArgumentError("line " + std::to_string(lines_) + ": " +
+                               e.what());
+  }
+  if (!event) return;  // header line
+  ++decoded_;
+  sink(*event);
+}
+
+void StreamDecoder::feed_jsonl(std::string_view bytes, const EventSink& sink) {
+  // Each byte is scanned once: a buffered tail is completed by the chunk's
+  // first newline, and every later line is decoded straight out of the
+  // chunk.
+  for (std::size_t nl = bytes.find('\n'); nl != std::string_view::npos;
+       nl = bytes.find('\n')) {
+    std::string_view line = bytes.substr(0, nl);
+    if (!carry_.empty()) {
+      check_line_length(carry_.size() + line.size());
+      carry_.append(line);
+      line = carry_;
+    }
+    decode_line(line, sink);
+    carry_.clear();
+    bytes.remove_prefix(nl + 1);
+  }
+  check_line_length(carry_.size() + bytes.size());
+  carry_.append(bytes);
+}
+
+void StreamDecoder::feed_binary(std::string_view bytes, const EventSink& sink) {
+  // Fast path: decode directly out of the caller's chunk; only the
+  // partial tail is ever copied into the carry buffer.
+  std::string_view view = bytes;
+  if (!carry_.empty()) {
+    carry_.append(bytes);
+    view = carry_;
+  }
+  std::size_t used = 0;
+  while (used < view.size()) {
+    const std::string_view rest = view.substr(used);
+    std::optional<DecodedFrame> frame;
     try {
-      event = decode_serve_line(line);
+      if (!header_done_) {
+        const std::optional<std::size_t> header = decode_wire_header(rest);
+        if (!header) break;  // incomplete header prefix
+        used += *header;
+        consumed_ += *header;
+        header_done_ = true;
+        continue;
+      }
+      frame = decode_wire_frame(rest);
     } catch (const Error& e) {
-      throw InvalidArgumentError("line " + std::to_string(line_number) +
-                                 ": " + e.what());
+      throw InvalidArgumentError("byte " + std::to_string(consumed_) + ": " +
+                                 e.what());
     }
-    if (!event) continue;  // header line
-    ++events;
-    sink(*event);
+    if (!frame) break;  // incomplete frame prefix
+    used += frame->consumed;
+    consumed_ += frame->consumed;
+    ++decoded_;
+    sink(frame->event);
   }
-  return events;
+  if (view.data() == carry_.data()) {
+    carry_.erase(0, used);
+  } else {
+    carry_.assign(view.substr(used));
+  }
 }
 
-std::int64_t transcode_serve_stream(std::istream& is, std::ostream& os,
-                                    WireFormat to) {
-  std::string buffer;
-  if (to == WireFormat::kBinary) append_wire_header(buffer);
-  if (to == WireFormat::kJsonl) write_stream_header(os);
-  const std::int64_t events =
-      read_serve_stream(is, [&](const ServeEvent& event) {
-        if (to == WireFormat::kBinary) {
-          append_wire_frame(buffer, event);
-          if (buffer.size() >= (1 << 16)) {
-            os.write(buffer.data(),
-                     static_cast<std::streamsize>(buffer.size()));
-            buffer.clear();
-          }
-        } else {
-          write_serve_event(os, event);
-        }
-      });
-  if (!buffer.empty()) {
-    os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
+std::int64_t StreamDecoder::finish(const EventSink& sink) {
+  if (closed_) {
+    throw InvalidArgumentError(
+        "serve stream: input after an error or finish()");
   }
-  return events;
+  closed_ = true;  // the stream is over either way
+  if (format_ == WireFormat::kBinary && (!header_done_ || !carry_.empty())) {
+    throw InvalidArgumentError(
+        std::string(kWireSchema) + " stream: byte " +
+        std::to_string(consumed_) + ": truncated (ends " +
+        (header_done_ ? "mid-frame)" : "inside the header)"));
+  }
+  const std::int64_t before = decoded_;
+  if (!carry_.empty()) decode_line(carry_, sink);  // unterminated JSONL tail
+  carry_.clear();
+  return decoded_ - before;
+}
+
+StreamEncoder::StreamEncoder(WireFormat format, Output out)
+    : format_(format), out_(std::move(out)) {
+  if (format_ == WireFormat::kBinary) {
+    append_wire_header(buffer_);
+  } else {
+    write_stream_header(line_);
+    buffer_ = line_.str();
+  }
+}
+
+void StreamEncoder::add(const ServeEvent& event) {
+  if (format_ == WireFormat::kBinary) {
+    append_wire_frame(buffer_, event);
+  } else {
+    line_.str(std::string());
+    write_serve_event(line_, event);
+    buffer_ += line_.view();
+  }
+  ++events_;
+  if (buffer_.size() >= std::size_t{64} * 1024) flush();
+}
+
+void StreamEncoder::flush() {
+  if (buffer_.empty()) return;
+  out_(buffer_);
+  bytes_ += static_cast<std::int64_t>(buffer_.size());
+  buffer_.clear();
+}
+
+StreamEncoder::Output write_to(std::ostream& os) {
+  return [&os](std::string_view bytes) {
+    os.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  };
+}
+
+std::int64_t read_serve_stream(std::istream& is, StreamDecoder& decoder,
+                               const EventSink& sink) {
+  std::int64_t events = 0;
+  std::string chunk(std::size_t{64} * 1024, '\0');
+  while (is.read(chunk.data(), static_cast<std::streamsize>(chunk.size())) ||
+         is.gcount() > 0) {
+    events += decoder.feed(
+        std::string_view(chunk.data(), static_cast<std::size_t>(is.gcount())),
+        sink);
+  }
+  return events + decoder.finish(sink);
+}
+
+std::int64_t read_serve_stream(std::istream& is, const EventSink& sink) {
+  StreamDecoder decoder;
+  return read_serve_stream(is, decoder, sink);
+}
+
+TranscodeReport transcode_serve_stream(std::istream& is, std::ostream& os,
+                                       std::optional<WireFormat> to) {
+  // The output format may depend on the input's, which the decoder only
+  // knows once bytes arrive; the encoder opens at the first event (or at
+  // EOF for an empty stream).
+  StreamDecoder decoder;
+  std::optional<StreamEncoder> encoder;
+  TranscodeReport report;
+  const auto open = [&] {
+    if (encoder) return;
+    report.from = decoder.format().value_or(WireFormat::kJsonl);
+    report.to = to.value_or(report.from == WireFormat::kBinary
+                                ? WireFormat::kJsonl
+                                : WireFormat::kBinary);
+    encoder.emplace(report.to, write_to(os));
+  };
+  report.events = read_serve_stream(is, decoder, [&](const ServeEvent& event) {
+    open();
+    encoder->add(event);
+  });
+  open();
+  encoder->flush();
+  return report;
 }
 
 }  // namespace mcs::serve

@@ -1,4 +1,9 @@
-// Compact binary wire codec for mcs.serve.v1 events ("mcs.serve.b1").
+// The serve stream: the compact binary codec for mcs.serve.v1 events
+// ("mcs.serve.b1"), and the one decoder and one encoder of whole streams
+// in either format (StreamDecoder, StreamEncoder). Replay, the socket
+// front-end, transcoding and the CLI all read and write streams through
+// them; the per-event codecs (decode_serve_line, decode_wire_frame and
+// their encoders) are the only other entry points.
 //
 // JSONL is the right interchange format -- human-readable, greppable,
 // diffable -- and the wrong hot path: every event pays a generic JSON
@@ -38,9 +43,10 @@
 // and slot >= 1, dense non-negative ids, from <= to, non-negative cost,
 // Money inside the +/-max() envelope), so for every event stream the
 // binary and JSONL decoders accept or reject in lockstep -- the
-// differential fuzz in serve_wire_test pins zero divergence. JSONL stays
-// the debug/interop format; `mcs_cli transcode` converts losslessly in
-// both directions.
+// differential fuzz in serve_wire_test pins zero divergence, and feeds
+// whole streams of both formats through StreamDecoder in every chunking.
+// JSONL stays the debug/interop format; `mcs_cli transcode` converts
+// losslessly in both directions.
 #pragma once
 
 #include <cstddef>
@@ -48,6 +54,7 @@
 #include <functional>
 #include <iosfwd>
 #include <optional>
+#include <sstream>
 #include <string>
 #include <string_view>
 
@@ -96,36 +103,7 @@ struct DecodedFrame {
 [[nodiscard]] std::optional<DecodedFrame> decode_wire_frame(
     std::string_view bytes);
 
-/// Incremental decoder for chunked transports (sockets deliver frames
-/// split at arbitrary byte boundaries). The carry buffer holding a partial
-/// frame tail is owned by the decoder and reused across feeds, so a
-/// steady-state connection performs no per-event allocation.
-class WireDecoder {
- public:
-  /// Consumes `bytes`, invoking `sink` once per completed event frame (the
-  /// stream header is consumed silently). Returns the number of events
-  /// decoded by this call. Throws InvalidArgumentError on malformed input
-  /// (the connection is then poisoned: further feeds keep throwing).
-  std::int64_t feed(std::string_view bytes,
-                    const std::function<void(const ServeEvent&)>& sink);
-
-  /// True when no partial frame is buffered -- i.e. EOF here is a clean
-  /// end of stream rather than a truncated frame.
-  [[nodiscard]] bool idle() const { return carry_.empty() && !poisoned_; }
-
-  [[nodiscard]] bool header_seen() const { return header_done_; }
-
-  /// Events decoded over the decoder's lifetime.
-  [[nodiscard]] std::int64_t events_decoded() const { return decoded_; }
-
- private:
-  std::string carry_;  ///< partial frame tail; capacity is retained
-  bool header_done_{false};
-  bool poisoned_{false};
-  std::int64_t decoded_{0};
-};
-
-// ------------------------------------------------------ stream transcoding
+// ------------------------------------------------------------ the stream
 
 enum class WireFormat {
   kJsonl,   ///< mcs.serve.v1 JSON lines (debug / interop)
@@ -134,23 +112,103 @@ enum class WireFormat {
 
 [[nodiscard]] std::string_view to_string(WireFormat format);
 
-/// Sniffs a stream's format from its first bytes without consuming them:
-/// the binary magic 'MCSB' selects kBinary, anything else kJsonl (whose
-/// own parser then reports precise errors).
-[[nodiscard]] WireFormat detect_stream_format(std::istream& is);
+using EventSink = std::function<void(const ServeEvent&)>;
 
-/// Reads a whole serve stream in either format (autodetected), invoking
-/// `sink` per event. Throws InvalidArgumentError naming the line (JSONL)
-/// or byte offset (binary) on malformed input, including a truncated
-/// final frame. Returns the number of events.
-std::int64_t read_serve_stream(
-    std::istream& is, const std::function<void(const ServeEvent&)>& sink);
+/// The one decoder of serve streams, fed bytes in chunks of any size. The
+/// first byte picks the format ('M', the binary magic, means
+/// mcs.serve.b1; anything else mcs.serve.v1 JSONL). JSONL is split on
+/// '\n' (blank lines are skipped; a header line may appear anywhere);
+/// b1 into its header and frames. Only a partial line or frame is ever
+/// buffered: a JSONL line is capped at kMaxServeLineBytes and a frame at
+/// kMaxWireFrameBytes, so a decoder holds at most a few KiB whatever it
+/// is fed. Errors are InvalidArgumentError naming the position ("line N"
+/// or "byte N"), and close the decoder: later calls keep throwing.
+class StreamDecoder {
+ public:
+  /// Consumes `bytes`, invoking `sink` once per completed event. Returns
+  /// the events decoded by this call. An exception thrown by `sink`
+  /// propagates unchanged (and closes the decoder too).
+  std::int64_t feed(std::string_view bytes, const EventSink& sink);
 
-/// Losslessly transcodes a serve stream (autodetected input format) into
-/// `to`. Event-preserving and, for canonical streams, byte-exact on a
-/// round trip: jsonl -> binary -> jsonl reproduces the input bytes.
-/// Returns the number of events transcoded.
-std::int64_t transcode_serve_stream(std::istream& is, std::ostream& os,
-                                    WireFormat to);
+  /// The EOF rule, the same for every source: a non-empty unterminated
+  /// JSONL tail is decoded as the last line; a partial b1 frame or a b1
+  /// stream without its complete header is truncated and throws. An empty
+  /// stream is a valid empty JSONL stream. Returns the events decoded by
+  /// this call (0 or 1).
+  std::int64_t finish(const EventSink& sink);
+
+  /// The sniffed format; nullopt until the first byte arrives.
+  [[nodiscard]] std::optional<WireFormat> format() const { return format_; }
+
+  /// Bytes of the partial line or frame held between feeds.
+  [[nodiscard]] std::size_t buffered() const { return carry_.size(); }
+
+ private:
+  void feed_jsonl(std::string_view bytes, const EventSink& sink);
+  void feed_binary(std::string_view bytes, const EventSink& sink);
+  void decode_line(std::string_view line, const EventSink& sink);
+  void check_line_length(std::size_t bytes) const;
+
+  std::optional<WireFormat> format_;
+  std::string carry_;  ///< partial line or frame tail; capacity is retained
+  bool header_done_{false};
+  bool closed_{false};  ///< after an error or finish(): input is refused
+  std::int64_t decoded_{0};
+  std::int64_t lines_{0};     ///< JSONL lines completed
+  std::uint64_t consumed_{0};  ///< b1 bytes consumed (header + frames)
+};
+
+/// The one encoder of serve streams: the format's header, then one line or
+/// frame per event, gathered in a reused buffer that is handed to `out`
+/// whenever it reaches 64 KiB. Call flush() after the last add().
+class StreamEncoder {
+ public:
+  using Output = std::function<void(std::string_view)>;
+
+  StreamEncoder(WireFormat format, Output out);
+
+  void add(const ServeEvent& event);
+
+  /// Hands the buffered bytes to `out`.
+  void flush();
+
+  [[nodiscard]] std::int64_t events() const { return events_; }
+  /// Bytes handed to `out` so far.
+  [[nodiscard]] std::int64_t bytes() const { return bytes_; }
+
+ private:
+  WireFormat format_;
+  Output out_;
+  std::string buffer_;
+  /// Renders one JSONL line; reused because constructing a stream per
+  /// event costs about a third of the JSONL encode time.
+  std::ostringstream line_;
+  std::int64_t events_{0};
+  std::int64_t bytes_{0};
+};
+
+/// A StreamEncoder output that writes to `os`.
+[[nodiscard]] StreamEncoder::Output write_to(std::ostream& os);
+
+/// Reads a whole serve stream in either format through a StreamDecoder,
+/// invoking `sink` per event; `decoder` may be inspected afterwards (its
+/// sniffed format). Throws as StreamDecoder does. Returns the number of
+/// events.
+std::int64_t read_serve_stream(std::istream& is, StreamDecoder& decoder,
+                               const EventSink& sink);
+std::int64_t read_serve_stream(std::istream& is, const EventSink& sink);
+
+struct TranscodeReport {
+  std::int64_t events{0};
+  WireFormat from{WireFormat::kJsonl};
+  WireFormat to{WireFormat::kBinary};
+};
+
+/// Losslessly transcodes a serve stream (either input format) into `to`,
+/// by default the other format. Event-preserving and, for canonical
+/// streams, byte-exact on a round trip: jsonl -> binary -> jsonl
+/// reproduces the input bytes.
+TranscodeReport transcode_serve_stream(std::istream& is, std::ostream& os,
+                                       std::optional<WireFormat> to = {});
 
 }  // namespace mcs::serve

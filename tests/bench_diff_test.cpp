@@ -232,6 +232,24 @@ TEST(BenchDiff, HistogramJsonRoundTripsToTheIdenticalSketch) {
   EXPECT_EQ(parsed.min_ns, recorded.min_ns);
   EXPECT_EQ(parsed.max_ns, recorded.max_ns);
 
+  // A sum past 12 significant digits survives the trip exactly.
+  obs::MetricsRegistry big;
+  big.histogram("x.big").observe(1234567890123);
+  big.histogram("x.big").observe(1);
+  const io::JsonValue big_doc = parse(export_registry(big, "t"));
+  EXPECT_EQ(histogram_from_json(big_doc.at("histograms").at("x.big"), "x.big")
+                .sum_ns,
+            1234567890124u);
+  // ... so bench-diff sees a one-nanosecond change of such a sum.
+  obs::MetricsRegistry bigger;
+  bigger.histogram("x.big").observe(1234567890124);
+  bigger.histogram("x.big").observe(1);
+  const BenchDiffReport drift = diff_bench_telemetry(
+      big_doc, parse(export_registry(bigger, "t")));
+  ASSERT_EQ(drift.histogram_drifts.size(), 1u);
+  EXPECT_EQ(drift.histogram_drifts[0].what,
+            "sum 1234567890124 -> 1234567890125");
+
   // A fixed-bucket layout (with its "+Inf" overflow) parses too: each
   // bucket lands in the sketch bucket of its upper edge.
   const obs::LatencySketchSnapshot legacy = histogram_from_json(

@@ -54,7 +54,7 @@ TEST(Histogram, LeBucketPlacement) {
   EXPECT_EQ(snap.counts[37], 1u);  // 42
   EXPECT_EQ(sketch_detail::bucket_upper_edge(36), 41u);
   EXPECT_EQ(snap.count, 6u);
-  EXPECT_DOUBLE_EQ(snap.sum_ns, 154.0);
+  EXPECT_EQ(snap.sum_ns, 154u);
   EXPECT_EQ(snap.min_ns, 0u);
   EXPECT_EQ(snap.max_ns, 42u);
 }
@@ -72,7 +72,7 @@ TEST(Histogram, MergeSumsBucketsAndExtrema) {
   EXPECT_EQ(snap.counts[5] + snap.counts[15] + snap.counts[25], 3u);
   EXPECT_EQ(snap.min_ns, 5u);
   EXPECT_EQ(snap.max_ns, 25u);
-  EXPECT_DOUBLE_EQ(snap.sum_ns, 45.0);
+  EXPECT_EQ(snap.sum_ns, 45u);
 }
 
 TEST(Histogram, MergeOfEmptyKeepsExtrema) {
@@ -139,7 +139,7 @@ TEST(MetricsRegistry, MergeIsAssociativeOnCountersAndHistograms) {
   const auto& rh = right.histograms.at("work.size");
   EXPECT_EQ(lh.counts, rh.counts);
   EXPECT_EQ(lh.count, rh.count);
-  EXPECT_DOUBLE_EQ(lh.sum_ns, rh.sum_ns);
+  EXPECT_EQ(lh.sum_ns, rh.sum_ns);
   EXPECT_EQ(lh.min_ns, rh.min_ns);
   EXPECT_EQ(lh.max_ns, rh.max_ns);
 }
@@ -342,6 +342,29 @@ TEST(Exporters, PrometheusGolden) {
             "mcs_h_sizes_bucket{le=\"+Inf\"} 3\n"
             "mcs_h_sizes_sum 45\n"
             "mcs_h_sizes_count 3\n");
+}
+
+TEST(Exporters, HistogramSumIsAnExactInteger) {
+  // 1234567890124 has 13 significant digits; a %.12g rendering would
+  // export 1.23456789012e+12.
+  MetricsRegistry registry;
+  Histogram& h = registry.histogram("h.big");
+  h.observe(1234567890123);
+  h.observe(1);
+  std::ostringstream json;
+  write_metrics_json(json, registry, nullptr);
+  EXPECT_NE(json.str().find("\"sum\":1234567890124,"), std::string::npos)
+      << json.str();
+  std::ostringstream csv;
+  write_metrics_csv(csv, registry);
+  EXPECT_NE(csv.str().find("histogram,h.big,sum,1234567890124\n"),
+            std::string::npos)
+      << csv.str();
+  std::ostringstream prom;
+  write_prometheus(prom, registry);
+  EXPECT_NE(prom.str().find("mcs_h_big_sum 1234567890124\n"),
+            std::string::npos)
+      << prom.str();
 }
 
 TEST(Exporters, PrometheusNameSanitizationGolden) {

@@ -124,7 +124,7 @@ TEST(ParallelSim, MergedTelemetryMatchesSequential) {
     const auto& par_pool = parallel.histograms.at("auction.greedy.pool_size");
     EXPECT_EQ(par_pool.counts, seq_pool.counts) << "threads=" << threads;
     EXPECT_EQ(par_pool.count, seq_pool.count);
-    EXPECT_DOUBLE_EQ(par_pool.sum_ns, seq_pool.sum_ns);
+    EXPECT_EQ(par_pool.sum_ns, seq_pool.sum_ns);
 
     // Wall-clock histograms vary in values but not in sample counts.
     EXPECT_EQ(parallel.histograms.at("sim.repetition_duration_us").count,

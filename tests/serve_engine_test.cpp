@@ -217,7 +217,6 @@ TEST(ServeReplay, ReplayOfRecordedStreamMatchesDirectFeed) {
   engine.drain();
 
   EXPECT_EQ(stats.events, static_cast<std::int64_t>(events.size()));
-  EXPECT_EQ(stats.lines, stats.events + 1);  // + header
   EXPECT_EQ(stats.shed, 0);
   expect_same_outcomes(direct, engine.take_outcomes());
 }
@@ -245,7 +244,7 @@ TEST(ServeReplay, BinaryReplayMatchesJsonlReplay) {
   write_event_stream(jsonl, load);
   std::istringstream jsonl_in(jsonl.str());
   std::ostringstream binary;
-  transcode_serve_stream(jsonl_in, binary, WireFormat::kBinary);
+  transcode_serve_stream(jsonl_in, binary);
 
   ServeConfig config;
   config.shards = 2;
@@ -261,7 +260,6 @@ TEST(ServeReplay, BinaryReplayMatchesJsonlReplay) {
 
   EXPECT_EQ(binary_stats.events, jsonl_stats.events);
   EXPECT_EQ(binary_stats.accepted, jsonl_stats.accepted);
-  EXPECT_EQ(binary_stats.lines, 0);  // frames are not line-shaped
   expect_same_outcomes(via_jsonl.take_outcomes(), via_binary.take_outcomes());
 }
 
@@ -280,8 +278,7 @@ TEST(ServeReplay, BatchedReplayMatchesPerEventReplay) {
   config.batch_size = 32;
   ServeEngine batched(config);
   std::istringstream b(recorded.str());
-  const ReplayStats in_batches =
-      replay_event_stream(b, batched, /*batch=*/true);
+  const ReplayStats in_batches = replay_event_stream(b, batched);
   batched.drain();
 
   EXPECT_EQ(in_batches.events, one_at_a_time.events);
@@ -296,7 +293,7 @@ TEST(ServeReplay, TruncatedBinaryStreamReportsByteOffset) {
   write_event_stream(jsonl, load);
   std::istringstream jsonl_in(jsonl.str());
   std::ostringstream binary;
-  transcode_serve_stream(jsonl_in, binary, WireFormat::kBinary);
+  transcode_serve_stream(jsonl_in, binary);
   std::string bytes = binary.str();
   bytes.pop_back();
 
@@ -308,6 +305,25 @@ TEST(ServeReplay, TruncatedBinaryStreamReportsByteOffset) {
     FAIL() << "expected InvalidArgumentError";
   } catch (const InvalidArgumentError& e) {
     EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos)
+        << e.what();
+  }
+  engine.drain();
+}
+
+TEST(ServeReplay, LinePaddedPastTheCapIsRejected) {
+  // A valid line padded with JSON whitespace past kMaxServeLineBytes: the
+  // JSON is fine, the line is not.
+  ServeConfig config;
+  ServeEngine engine(config);
+  std::istringstream is(
+      "{\"schema\":\"mcs.serve.v1\"}\n"
+      "{\"ev\":\"round_open\",\"round\":0,\"slots\":3,\"value\":\"10\"}" +
+      std::string(kMaxServeLineBytes, ' ') + "\n");
+  try {
+    replay_event_stream(is, engine);
+    FAIL() << "expected InvalidArgumentError";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
         << e.what();
   }
   engine.drain();

@@ -1,11 +1,17 @@
 // Socket front-end smoke tests: an engine fed over the loopback TCP
 // listener must produce byte-identical outcomes to one fed in-process, in
 // both wire formats and across multiple concurrent connections; malformed
-// input must poison exactly its own connection; and a truncated stream
-// must be reported, not silently absorbed.
+// input must poison exactly its own connection; a truncated stream must
+// be reported, not silently absorbed; and a connection ends under the
+// same EOF rule and line cap as a replayed file.
 #include "serve/socket.hpp"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <sstream>
 #include <string>
@@ -180,6 +186,45 @@ TEST(ServeSocket, TruncatedStreamCountsAsDecodeError) {
   EXPECT_EQ(run.stats.decode_errors, 1);
   // All complete frames were still delivered.
   EXPECT_EQ(run.stats.events, static_cast<std::int64_t>(events.size()) - 1);
+}
+
+TEST(ServeSocket, UnterminatedFinalJsonlLineIsServed) {
+  // The EOF rule of a file replay holds on a connection too: a final line
+  // without its '\n' is the last line, not truncation.
+  const std::vector<ServeEvent> events = load_events(small_load());
+  std::string bytes = jsonl_stream(events);
+  bytes.pop_back();
+  const SocketRun run = socket_outcomes({bytes}, 1);
+  EXPECT_EQ(run.stats.decode_errors, 0);
+  EXPECT_EQ(run.stats.events, static_cast<std::int64_t>(events.size()));
+  expect_same_outcomes(run.outcomes, reference_outcomes(events, 1));
+}
+
+TEST(ServeSocket, NewlineFreeConnectionIsDroppedBeforeItsPeerCloses) {
+  // A peer that never sends a newline must not make the server buffer
+  // until EOF: past kMaxServeLineBytes the server drops the connection,
+  // which the still-open peer sees as EOF (or a reset).
+  SocketServer server({}, [](const ServeEvent&) {});
+  server.start();
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(server.port()));
+  ASSERT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+                      sizeof addr),
+            0);
+  const std::string junk(4 * kMaxServeLineBytes, ' ');
+  EXPECT_EQ(::send(fd, junk.data(), junk.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(junk.size()));
+  pollfd ready{fd, POLLIN, 0};
+  EXPECT_EQ(::poll(&ready, 1, /*timeout_ms=*/10'000), 1);
+  char byte = 0;
+  EXPECT_LE(::recv(fd, &byte, 1, MSG_DONTWAIT), 0);
+  ::close(fd);
+  server.stop();
+  EXPECT_EQ(server.stats().decode_errors, 1);
 }
 
 TEST(ServeSocket, StopIsIdempotentAndRestartForbidden) {

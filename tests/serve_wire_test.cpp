@@ -1,9 +1,11 @@
-// Binary wire codec (mcs.serve.b1) tests: golden frame bytes, lossless
-// round trips, strict rejection of malformed frames, chunked incremental
-// decoding, JSONL<->binary transcoding, and two fuzz suites -- a
-// mutation/truncation fuzz mirroring json_parse_fuzz, and a differential
-// fuzz pinning that the binary and JSONL decoders accept or reject the
-// same logical events with zero divergence. Iteration counts scale with
+// Serve stream tests: golden b1 frame bytes, lossless round trips, strict
+// rejection of malformed frames, the StreamDecoder (format sniffing,
+// chunked feeds, the EOF rule, the line cap), JSONL<->binary transcoding,
+// and the fuzz suites -- a mutation/truncation fuzz mirroring
+// json_parse_fuzz, a per-event differential fuzz pinning that the binary
+// and JSONL decoders accept or reject the same logical events with zero
+// divergence, and whole-stream fuzzes over every chunking and every
+// prefix of both encodings. Iteration counts scale with
 // MCS_WIRE_FUZZ_ITERS (the CI smoke job runs 100k).
 #include "serve/wire.hpp"
 
@@ -13,9 +15,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <map>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
@@ -233,26 +238,36 @@ TEST(WireCodec, EveryTruncationAsksForMoreBytesNotGarbage) {
 
 // ---------------------------------------------------- incremental decoding
 
+std::string jsonl_bytes(const std::vector<ServeEvent>& events) {
+  std::string out;
+  StreamEncoder encoder(WireFormat::kJsonl,
+                        [&out](std::string_view bytes) { out += bytes; });
+  for (const ServeEvent& event : events) encoder.add(event);
+  encoder.flush();
+  return out;
+}
+
+std::string binary_bytes(const std::vector<ServeEvent>& events) {
+  std::string out = header_bytes();
+  for (const ServeEvent& event : events) append_wire_frame(out, event);
+  return out;
+}
+
 TEST(WireDecoderTest, OneByteAtATimeFeedsDecodeTheFullStream) {
-  std::string stream = header_bytes();
-  for (const ServeEvent& event : every_kind()) {
-    append_wire_frame(stream, event);
+  for (const std::string& stream :
+       {binary_bytes(every_kind()), jsonl_bytes(every_kind())}) {
+    StreamDecoder decoder;
+    std::vector<ServeEvent> got;
+    const auto sink = [&](const ServeEvent& event) { got.push_back(event); };
+    for (char byte : stream) decoder.feed(std::string_view(&byte, 1), sink);
+    EXPECT_EQ(decoder.finish(sink), 0);
+    EXPECT_EQ(decoder.buffered(), 0u);
+    EXPECT_EQ(got, every_kind());
   }
-  WireDecoder decoder;
-  std::vector<ServeEvent> got;
-  for (char byte : stream) {
-    decoder.feed(std::string_view(&byte, 1),
-                 [&](const ServeEvent& event) { got.push_back(event); });
-  }
-  EXPECT_TRUE(decoder.idle());
-  EXPECT_TRUE(decoder.header_seen());
-  EXPECT_EQ(decoder.events_decoded(),
-            static_cast<std::int64_t>(every_kind().size()));
-  EXPECT_EQ(got, every_kind());
 }
 
 TEST(WireDecoderTest, PoisonsAfterMalformedInput) {
-  WireDecoder decoder;
+  StreamDecoder decoder;
   const auto sink = [](const ServeEvent&) {};
   std::string stream = header_bytes();
   append_wire_frame(stream, round_close(0));
@@ -262,14 +277,98 @@ TEST(WireDecoderTest, PoisonsAfterMalformedInput) {
   // Even valid bytes are refused now: the stream is corrupt.
   EXPECT_THROW(decoder.feed(encode_wire_frame(round_close(1)), sink),
                InvalidArgumentError);
-  EXPECT_FALSE(decoder.idle());
+  EXPECT_THROW(decoder.finish(sink), InvalidArgumentError);
 }
 
 TEST(WireDecoderTest, MissingHeaderIsRejected) {
-  WireDecoder decoder;
-  EXPECT_THROW(decoder.feed(encode_wire_frame(round_close(0)),
-                            [](const ServeEvent&) {}),
-               InvalidArgumentError);
+  StreamDecoder decoder;
+  // A frame's length prefix starts with a small byte, not 'M': the stream
+  // is sniffed as JSONL and its first line is not JSON.
+  EXPECT_THROW(
+      {
+        decoder.feed(encode_wire_frame(round_close(0)),
+                     [](const ServeEvent&) {});
+        decoder.finish([](const ServeEvent&) {});
+      },
+      InvalidArgumentError);
+  // A b1 stream cut inside its header is truncated.
+  StreamDecoder cut;
+  cut.feed("MCSB\x01", [](const ServeEvent&) {});
+  EXPECT_THROW(cut.finish([](const ServeEvent&) {}), InvalidArgumentError);
+}
+
+TEST(WireDecoderTest, SniffsFormatFromTheFirstByte) {
+  StreamDecoder binary;
+  EXPECT_EQ(binary.format(), std::nullopt);
+  binary.feed("M", [](const ServeEvent&) {});
+  EXPECT_EQ(binary.format(), WireFormat::kBinary);
+
+  StreamDecoder jsonl;
+  jsonl.feed("{", [](const ServeEvent&) {});
+  EXPECT_EQ(jsonl.format(), WireFormat::kJsonl);
+
+  // An empty stream is a valid, empty JSONL stream.
+  StreamDecoder empty;
+  EXPECT_EQ(empty.finish([](const ServeEvent&) {}), 0);
+}
+
+TEST(WireDecoderTest, UnterminatedFinalLineIsTheLastLine) {
+  std::string stream = jsonl_bytes(every_kind());
+  stream.pop_back();  // drop the final '\n'
+  StreamDecoder decoder;
+  std::vector<ServeEvent> got;
+  const auto sink = [&](const ServeEvent& event) { got.push_back(event); };
+  decoder.feed(stream, sink);
+  EXPECT_EQ(got.size(), every_kind().size() - 1);
+  EXPECT_EQ(decoder.finish(sink), 1);
+  EXPECT_EQ(got, every_kind());
+
+  // A partial JSON tail is still truncation.
+  StreamDecoder partial;
+  partial.feed(stream.substr(0, stream.size() - 1), sink);
+  EXPECT_THROW(partial.finish(sink), InvalidArgumentError);
+}
+
+TEST(WireDecoderTest, NewlineFreeInputNeverBuffersPastTheLineCap) {
+  // 1 MiB without a newline, in 64 KiB and in 1 KiB chunks: the decoder
+  // throws as soon as the unterminated line outgrows kMaxServeLineBytes,
+  // naming the line, and its buffer never holds more than the cap.
+  for (const std::size_t chunk_size : {std::size_t{64} * 1024,
+                                       std::size_t{1024}}) {
+    const std::string chunk(chunk_size, ' ');
+    StreamDecoder decoder;
+    std::size_t fed = 0;
+    bool threw = false;
+    while (fed < std::size_t{1} << 20 && !threw) {
+      try {
+        decoder.feed(chunk, [](const ServeEvent&) {});
+      } catch (const InvalidArgumentError& e) {
+        threw = true;
+        EXPECT_NE(std::string(e.what()).find("line 1"), std::string::npos)
+            << e.what();
+      }
+      fed += chunk.size();
+      EXPECT_LE(decoder.buffered(), kMaxServeLineBytes);
+    }
+    EXPECT_TRUE(threw) << "chunk " << chunk_size;
+    EXPECT_LE(fed, kMaxServeLineBytes + chunk_size);
+  }
+}
+
+TEST(WireDecoderTest, ErrorsNameTheByteOffset) {
+  std::string stream = header_bytes();
+  append_wire_frame(stream, round_close(0));
+  const std::size_t bad_at = stream.size();
+  stream += frame(std::string(1, '\7') + le64(0));
+  StreamDecoder decoder;
+  try {
+    decoder.feed(stream, [](const ServeEvent&) {});
+    FAIL() << "unknown kind accepted";
+  } catch (const InvalidArgumentError& e) {
+    EXPECT_NE(std::string(e.what()).find("byte " + std::to_string(bad_at)),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ------------------------------------------------------------- transcoding
@@ -284,25 +383,23 @@ TEST(WireTranscode, JsonlToBinaryToJsonlIsByteExact) {
 
   std::istringstream in1(jsonl.str());
   std::ostringstream binary;
-  EXPECT_EQ(transcode_serve_stream(in1, binary, WireFormat::kBinary), events);
+  const TranscodeReport there = transcode_serve_stream(in1, binary);
+  EXPECT_EQ(there.events, events);
+  EXPECT_EQ(there.from, WireFormat::kJsonl);
+  EXPECT_EQ(there.to, WireFormat::kBinary);
   EXPECT_EQ(binary.str().compare(0, 4, "MCSB"), 0);
   // The binary stream is materially smaller than its JSONL source.
   EXPECT_LT(binary.str().size(), jsonl.str().size() / 2);
+  // ... and is what the loadgen writes in that format.
+  std::ostringstream direct;
+  write_event_stream(direct, config, WireFormat::kBinary);
+  EXPECT_EQ(binary.str(), direct.str());
 
   std::istringstream in2(binary.str());
   std::ostringstream back;
-  EXPECT_EQ(transcode_serve_stream(in2, back, WireFormat::kJsonl), events);
+  EXPECT_EQ(transcode_serve_stream(in2, back, WireFormat::kJsonl).events,
+            events);
   EXPECT_EQ(back.str(), jsonl.str());
-}
-
-TEST(WireTranscode, DetectsFormatWithoutConsumingBytes) {
-  std::istringstream binary(header_bytes());
-  EXPECT_EQ(detect_stream_format(binary), WireFormat::kBinary);
-  EXPECT_EQ(binary.get(), 'M');  // stream still at the start
-
-  std::istringstream jsonl("{\"schema\":\"mcs.serve.v1\"}\n");
-  EXPECT_EQ(detect_stream_format(jsonl), WireFormat::kJsonl);
-  EXPECT_EQ(jsonl.get(), '{');
 }
 
 TEST(WireTranscode, ReadServeStreamReportsTruncation) {
@@ -349,10 +446,10 @@ TEST(WireFuzz, SeededMutationsNeverCrashTheDecoder) {
           static_cast<char>(1 << (rng() % 8));
     }
     if (rng() % 4 == 0) mutated.resize(rng() % (mutated.size() + 1));
-    WireDecoder decoder;
+    StreamDecoder decoder;
     try {
       decoder.feed(mutated, [](const ServeEvent&) {});
-      if (!decoder.idle() || !decoder.header_seen()) ++rejected;
+      decoder.finish([](const ServeEvent&) {});
     } catch (const InvalidArgumentError&) {
       ++rejected;
     }
@@ -508,6 +605,144 @@ TEST(WireFuzz, BinaryAndJsonlDecodersAcceptAndRejectInLockstep) {
   // The draw is adversarial but not degenerate: both outcomes must occur.
   EXPECT_GT(accepted, 0);
   EXPECT_GT(rejected, 0);
+}
+
+// ------------------------------------------------------ whole-stream fuzz
+
+/// A seeded sequence of valid events with edge-biased fields.
+std::vector<ServeEvent> random_events(std::mt19937_64& rng, int max_events) {
+  const auto micros = [&rng]() -> std::int64_t {
+    switch (rng() % 4) {
+      case 0:
+        return 0;
+      case 1:
+        return Money::max().micros();
+      default:
+        return static_cast<std::int64_t>(rng() % 1'000'000'000);
+    }
+  };
+  const auto small = [&rng](int lo, int hi) {
+    return lo + static_cast<int>(rng() %
+                                 static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  std::vector<ServeEvent> events;
+  const int n = static_cast<int>(
+      rng() % static_cast<std::uint64_t>(max_events + 1));
+  for (int i = 0; i < n; ++i) {
+    const std::int64_t round = rng() % 8 == 0 ? kMaxServeRound : small(0, 5);
+    switch (rng() % 5) {
+      case 0:
+        events.push_back(
+            round_open(round, small(1, 60), Money::from_micros(micros())));
+        break;
+      case 1: {
+        std::optional<Money> value;
+        if (rng() % 2 == 0) value = Money::from_micros(micros());
+        events.push_back(task_arrived(round, Slot{small(1, 60)},
+                                      TaskId{small(0, 40)}, value));
+        break;
+      }
+      case 2: {
+        const int from = small(1, 30);
+        events.push_back(bid_submitted(
+            round, PhoneId{small(0, 99)},
+            model::Bid{SlotInterval::of(from, from + small(0, 30)),
+                       Money::from_micros(micros())}));
+        break;
+      }
+      case 3:
+        events.push_back(slot_tick(round, Slot{small(1, 60)}));
+        break;
+      default:
+        events.push_back(round_close(round));
+        break;
+    }
+  }
+  return events;
+}
+
+/// Decodes `stream` fed in the given chunk sizes (cycled), then finish().
+std::vector<ServeEvent> decode_chunked(std::string_view stream,
+                                       const std::vector<std::size_t>& sizes) {
+  StreamDecoder decoder;
+  std::vector<ServeEvent> got;
+  const auto sink = [&](const ServeEvent& event) { got.push_back(event); };
+  for (std::size_t i = 0; !stream.empty(); ++i) {
+    const std::size_t take = std::min(stream.size(), sizes[i % sizes.size()]);
+    decoder.feed(stream.substr(0, take), sink);
+    stream.remove_prefix(take);
+  }
+  decoder.finish(sink);
+  return got;
+}
+
+TEST(WireFuzz, EveryChunkingOfBothFormatsYieldsTheSameEvents) {
+  std::mt19937_64 rng(20261019);
+  const std::int64_t sequences =
+      std::max<std::int64_t>(1, fuzz_iters(4000) / 4);
+  for (std::int64_t i = 0; i < sequences; ++i) {
+    const std::vector<ServeEvent> events = random_events(rng, 12);
+    std::vector<std::size_t> random_sizes;
+    for (int k = 0; k < 16; ++k) random_sizes.push_back(1 + rng() % 97);
+    for (const std::string& stream :
+         {jsonl_bytes(events), binary_bytes(events)}) {
+      ASSERT_EQ(decode_chunked(stream, {stream.size() + 1}), events);
+      ASSERT_EQ(decode_chunked(stream, {1}), events);
+      ASSERT_EQ(decode_chunked(stream, random_sizes), events);
+    }
+  }
+}
+
+TEST(WireFuzz, EveryPrefixIsAcceptedWithItsCompleteEventsOrRejected) {
+  // A prefix ending on an event boundary (a line's closing brace or its
+  // newline, or a frame's last byte) is accepted with exactly the events
+  // before it; any other prefix -- mid-line, mid-frame, inside either
+  // header -- is rejected.
+  std::mt19937_64 rng(1019);
+  const std::int64_t sequences =
+      std::max<std::int64_t>(1, fuzz_iters(4000) / 50);
+  for (std::int64_t i = 0; i < sequences; ++i) {
+    const std::vector<ServeEvent> events = random_events(rng, 5);
+    for (const WireFormat format : {WireFormat::kJsonl, WireFormat::kBinary}) {
+      const bool binary = format == WireFormat::kBinary;
+      const std::string stream =
+          binary ? binary_bytes(events) : jsonl_bytes(events);
+      // boundaries[offset] = events complete at that prefix length.
+      std::map<std::size_t, std::size_t> boundaries = {{0, 0}};
+      std::size_t at = binary ? kWireHeaderBytes : jsonl_bytes({}).size();
+      if (!binary) boundaries[at - 1] = 0;  // header line without '\n'
+      boundaries[at] = 0;
+      for (std::size_t k = 0; k < events.size(); ++k) {
+        if (binary) {
+          at += encode_wire_frame(events[k]).size();
+        } else {
+          at += encode_serve_event(events[k]).size();
+          boundaries[at] = k + 1;
+          at += 1;  // '\n'
+        }
+        boundaries[at] = k + 1;
+      }
+      ASSERT_EQ(at, stream.size());
+      for (std::size_t len = 0; len <= stream.size(); ++len) {
+        std::optional<std::vector<ServeEvent>> got;
+        try {
+          got = decode_chunked(std::string_view(stream).substr(0, len),
+                               {len + 1});
+        } catch (const InvalidArgumentError&) {
+        }
+        const auto boundary = boundaries.find(len);
+        ASSERT_EQ(got.has_value(), boundary != boundaries.end())
+            << to_string(format) << " prefix " << len << " of "
+            << stream.size();
+        if (got) {
+          ASSERT_EQ(*got, std::vector<ServeEvent>(
+                              events.begin(),
+                              events.begin() + static_cast<std::ptrdiff_t>(
+                                                   boundary->second)));
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

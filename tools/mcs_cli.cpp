@@ -18,6 +18,7 @@
 // truthfulness/IR deviation grids; figure regenerates one of the paper's
 // evaluation figures; replay re-executes a recorded run and verifies the
 // outcome byte-for-byte; explain narrates one phone's round from the log.
+#include <charconv>
 #include <chrono>
 #include <iostream>
 #include <map>
@@ -57,7 +58,6 @@
 #include "serve/econ_telemetry.hpp"
 #include "serve/engine.hpp"
 #include "serve/loadgen.hpp"
-#include "serve/replay.hpp"
 #include "serve/socket.hpp"
 #include "serve/telemetry.hpp"
 #include "serve/trace_plane.hpp"
@@ -478,11 +478,7 @@ int cmd_transcode(int argc, const char* const* argv) {
   }
   std::ifstream in(in_path, std::ios::binary);
   if (!in) throw IoError("cannot open input stream: " + in_path);
-  const serve::WireFormat from = serve::detect_stream_format(in);
-
-  serve::WireFormat to = from == serve::WireFormat::kBinary
-                             ? serve::WireFormat::kJsonl
-                             : serve::WireFormat::kBinary;
+  std::optional<serve::WireFormat> to;
   if (const std::string target = cli.get_string("to"); !target.empty()) {
     if (target == "jsonl") {
       to = serve::WireFormat::kJsonl;
@@ -495,12 +491,13 @@ int cmd_transcode(int argc, const char* const* argv) {
 
   std::ofstream out(out_path, std::ios::binary);
   if (!out) throw IoError("cannot open output stream: " + out_path);
-  const std::int64_t events = serve::transcode_serve_stream(in, out, to);
+  const serve::TranscodeReport report =
+      serve::transcode_serve_stream(in, out, to);
   out.flush();
   if (!out) throw IoError("write failed: " + out_path);
-  std::cout << "transcoded " << events << " events: " << in_path << " ("
-            << serve::to_string(from) << ") -> " << out_path << " ("
-            << serve::to_string(to) << ")\n";
+  std::cout << "transcoded " << report.events << " events: " << in_path
+            << " (" << serve::to_string(report.from) << ") -> " << out_path
+            << " (" << serve::to_string(report.to) << ")\n";
   return 0;
 }
 
@@ -570,102 +567,46 @@ std::uint64_t non_negative_flag(const io::CliParser& cli,
   return static_cast<std::uint64_t>(value);
 }
 
-/// Splits "[HOST:]PORT"; the host defaults to loopback.
+/// Splits "[HOST:]PORT"; the host defaults to loopback. The port must be
+/// the whole rest of the text.
 std::pair<std::string, int> parse_endpoint(const std::string& spec) {
   const std::size_t colon = spec.rfind(':');
   const std::string host =
       colon == std::string::npos ? "127.0.0.1" : spec.substr(0, colon);
-  const std::string port_text =
-      colon == std::string::npos ? spec : spec.substr(colon + 1);
+  const std::string_view port_text =
+      std::string_view(spec).substr(colon == std::string::npos ? 0 : colon + 1);
   int port = -1;
-  try {
-    port = std::stoi(port_text);
-  } catch (const std::exception&) {
-  }
-  if (host.empty() || port < 0 || port > 65535) {
+  const char* const end = port_text.data() + port_text.size();
+  const auto [stop, error] = std::from_chars(port_text.data(), end, port);
+  if (host.empty() || error != std::errc() || stop != end || port < 0 ||
+      port > 65535) {
     throw InvalidArgumentError("bad endpoint (want [HOST:]PORT): " + spec);
   }
   return {host, port};
 }
 
-/// --events-out recorder, in either wire format. Binary frames are
-/// buffered and flushed in 64 KiB chunks like the library writers.
-class EventRecorder {
- public:
-  void open(const std::string& path, bool wire) {
-    file_.open(path, std::ios::binary);
-    if (!file_) throw IoError("cannot open events file: " + path);
-    wire_ = wire;
-    if (wire_) {
-      serve::append_wire_header(buffer_);
-    } else {
-      serve::write_stream_header(file_);
-    }
-  }
-
-  void record(const serve::ServeEvent& event) {
-    if (!file_.is_open()) return;
-    if (wire_) {
-      serve::append_wire_frame(buffer_, event);
-      if (buffer_.size() >= std::size_t{64} * 1024) flush_buffer();
-    } else {
-      serve::write_serve_event(file_, event);
-    }
-  }
-
-  void finish() {
-    if (file_.is_open() && wire_ && !buffer_.empty()) flush_buffer();
-  }
-
- private:
-  void flush_buffer() {
-    file_.write(buffer_.data(), static_cast<std::streamsize>(buffer_.size()));
-    buffer_.clear();
-  }
-
-  std::ofstream file_;
-  bool wire_ = false;
-  std::string buffer_;
-};
+serve::WireFormat wire_format(const io::CliParser& cli) {
+  return cli.get_switch("wire") ? serve::WireFormat::kBinary
+                                : serve::WireFormat::kJsonl;
+}
 
 /// serve --connect: push the loadgen stream to a listening server.
 int run_connect_client(const std::string& endpoint,
-                       const serve::LoadGenConfig& load, bool wire) {
+                       const serve::LoadGenConfig& load,
+                       serve::WireFormat format) {
   const auto [host, port] = parse_endpoint(endpoint);
   serve::SocketClient client = serve::SocketClient::connect(host, port);
-  std::int64_t sent = 0;
-  std::int64_t bytes = 0;
-  std::string buffer;
-  const auto flush = [&] {
-    if (buffer.empty()) return;
-    bytes += static_cast<std::int64_t>(buffer.size());
-    client.send(buffer);
-    buffer.clear();
-  };
-  if (wire) {
-    serve::append_wire_header(buffer);
-    sent = serve::generate_events(load, [&](const serve::ServeEvent& e) {
-      serve::append_wire_frame(buffer, e);
-      if (buffer.size() >= std::size_t{64} * 1024) flush();
-      return true;
-    });
-  } else {
-    std::ostringstream header;
-    serve::write_stream_header(header);
-    buffer = header.str();
-    sent = serve::generate_events(load, [&](const serve::ServeEvent& e) {
-      std::ostringstream line;
-      serve::write_serve_event(line, e);
-      buffer += line.str();
-      if (buffer.size() >= std::size_t{64} * 1024) flush();
-      return true;
-    });
-  }
-  flush();
+  serve::StreamEncoder encoder(
+      format, [&client](std::string_view bytes) { client.send(bytes); });
+  serve::generate_events(load, [&](const serve::ServeEvent& e) {
+    encoder.add(e);
+    return true;
+  });
+  encoder.flush();
   client.close();
-  std::cout << "sent " << sent << " events (" << bytes << " bytes, "
-            << (wire ? "binary" : "jsonl") << ") to " << host << ":" << port
-            << '\n';
+  std::cout << "sent " << encoder.events() << " events (" << encoder.bytes()
+            << " bytes, " << serve::to_string(format) << ") to " << host
+            << ":" << port << '\n';
   return 0;
 }
 
@@ -709,7 +650,8 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_double("reserve", 0.0, "platform reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
   cli.add_string("events-out", "",
-                 "also record the generated stream as mcs.serve.v1 JSONL");
+                 "also record the served stream (mcs.serve.v1 JSONL, or "
+                 "mcs.serve.b1 with --wire)");
   cli.add_switch("verify",
                  "batch-compare every completed round (loadgen only)");
   cli.add_string("metrics-out", "",
@@ -789,7 +731,7 @@ int cmd_serve(int argc, const char* const* argv) {
           "--connect streams the load generator to a remote server; it "
           "cannot be combined with --replay or --listen");
     }
-    return run_connect_client(connect_spec, load, cli.get_switch("wire"));
+    return run_connect_client(connect_spec, load, wire_format(cli));
   }
   const bool use_listen = !listen_spec.empty();
   if (use_listen && !replay_path.empty()) {
@@ -898,34 +840,33 @@ int cmd_serve(int argc, const char* const* argv) {
           econ.get(), econ_file.is_open() ? &econ_file : nullptr);
     }
 
-    // Producer-side batching: one ShardBatcher per (single) producer; the
-    // replay path batches internally instead.
-    std::unique_ptr<serve::ShardBatcher> batcher;
-    if (config.batch_size > 1 && (use_loadgen || use_listen)) {
-      batcher = std::make_unique<serve::ShardBatcher>(engine);
-    }
-    EventRecorder recorder;
+    // One submit front for every source: the --events-out recorder, then
+    // a ShardBatcher sized by --batch (1 submits event by event).
+    serve::ShardBatcher batcher(engine);
+    std::ofstream events_file;
+    std::optional<serve::StreamEncoder> recorder;
     if (const std::string events_path = cli.get_string("events-out");
         !events_path.empty()) {
-      recorder.open(events_path, cli.get_switch("wire"));
+      events_file.open(events_path, std::ios::binary);
+      if (!events_file) {
+        throw IoError("cannot open events file: " + events_path);
+      }
+      recorder.emplace(wire_format(cli), serve::write_to(events_file));
     }
+    const auto submit = [&](const serve::ServeEvent& e) {
+      if (recorder) recorder->add(e);
+      return batcher.add(e) == serve::SubmitStatus::kAccepted;
+    };
 
     if (use_loadgen) {
-      const auto submit = [&](const serve::ServeEvent& e) {
-        recorder.record(e);
-        const serve::SubmitStatus status =
-            batcher ? batcher->add(e) : engine.submit(e);
-        return status == serve::SubmitStatus::kAccepted;
-      };
       if (target_eps > 0.0) {
         serve::PaceConfig pace;
         pace.target_eps = target_eps;
         pace_report = serve::run_paced_load(load, pace, submit);
         offered = pace_report.offered;
-        shed = pace_report.shed;
       } else {
         offered = serve::generate_events(load, [&](const serve::ServeEvent& e) {
-          if (!submit(e)) ++shed;
+          submit(e);
           return true;
         });
       }
@@ -934,19 +875,13 @@ int cmd_serve(int argc, const char* const* argv) {
       serve::SocketServerConfig socket_config;
       socket_config.host = host;
       socket_config.port = static_cast<std::uint16_t>(port);
-      // The server's reader threads share this sink; one lock serializes
-      // the recorder and the batcher (both single-producer by contract).
-      std::mutex sink_mutex;
-      std::int64_t socket_shed = 0;
+      // The server's reader threads share the submit front; one lock
+      // serializes the recorder and the batcher (both single-producer).
+      std::mutex submit_mutex;
       serve::SocketServer server(
           socket_config, [&](const serve::ServeEvent& e) {
-            const std::lock_guard<std::mutex> lock(sink_mutex);
-            recorder.record(e);
-            const serve::SubmitStatus status =
-                batcher ? batcher->add(e) : engine.submit(e);
-            if (status == serve::SubmitStatus::kRejectedQueueFull) {
-              ++socket_shed;
-            }
+            const std::lock_guard<std::mutex> lock(submit_mutex);
+            submit(e);
           });
       server.start();
       const std::int64_t want_conns =
@@ -960,7 +895,6 @@ int cmd_serve(int argc, const char* const* argv) {
       server.drain();
       const serve::SocketServerStats socket_stats = server.stats();
       offered = socket_stats.events;
-      shed = socket_shed;
       if (socket_stats.decode_errors > 0) {
         std::cout << socket_stats.decode_errors
                   << " connection(s) aborted on malformed or truncated "
@@ -969,16 +903,11 @@ int cmd_serve(int argc, const char* const* argv) {
     } else {
       std::ifstream stream(replay_path, std::ios::binary);
       if (!stream) throw IoError("cannot open event stream: " + replay_path);
-      const serve::ReplayStats replayed =
-          serve::replay_event_stream(stream, engine, config.batch_size > 1);
-      offered = replayed.events;
-      shed = replayed.shed;
+      offered = serve::read_serve_stream(stream, submit);
     }
-    if (batcher) {
-      batcher->flush();
-      shed = batcher->rejected_events();  // exact under batch granularity
-    }
-    recorder.finish();
+    batcher.flush();
+    shed = batcher.rejected_events();  // exact under batch granularity
+    if (recorder) recorder->flush();
     engine.drain();
     // Each plane's final snapshot is taken once -- by the publisher's
     // stop() when it runs, else here -- and both the JSONL tail and the

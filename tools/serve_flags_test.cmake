@@ -2,7 +2,8 @@
 # with "error: <what>" on stderr. A negative value must neither wrap to a
 # huge unsigned size (an abort on allocation, or a trace threshold of
 # 1.8e16 us) nor end in std::terminate, and a threshold too large for
-# nanoseconds must not wrap either.
+# nanoseconds must not wrap either. An endpoint is rejected unless its
+# port is the whole text after the colon.
 
 # expect_rejected(<stderr regex> <serve args>...)
 function(expect_rejected message)
@@ -28,4 +29,6 @@ expect_rejected("--trace-threshold-us must be >= 0"
                 --trace-jsonl ${TRACE} --trace-threshold-us -1)
 expect_rejected("--trace-threshold-us is too large"
                 --trace-jsonl ${TRACE} --trace-threshold-us 20000000000000000)
+expect_rejected("bad endpoint" --connect 127.0.0.1:1x)
+expect_rejected("bad endpoint" --listen 0x)
 file(REMOVE ${TRACE})
