@@ -134,7 +134,7 @@ void BM_EconProbeSampled(benchmark::State& state) {
   std::int64_t round = 0;
   std::int64_t sampled = 0;
   for (auto _ : state) {
-    sampled += serve::econ_probe_sampled(round++, 16, 0) ? 1 : 0;
+    sampled += serve::econ_probe_sampled(round++, 16) ? 1 : 0;
     benchmark::DoNotOptimize(sampled);
   }
   state.SetItemsProcessed(state.iterations());

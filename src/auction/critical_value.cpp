@@ -1,7 +1,6 @@
 #include "auction/critical_value.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "auction/counterfactual.hpp"
 #include "common/assert.hpp"
@@ -31,9 +30,7 @@ void log_probe(std::int32_t phone, Money probe, bool won, std::int64_t lo,
 
 std::optional<Money> bisect_critical_value(const WinsWithCost& wins,
                                            Money upper_bound,
-                                           std::int64_t tolerance_micros,
                                            std::int32_t log_phone) {
-  MCS_EXPECTS(tolerance_micros >= 1, "tolerance must be >= 1 micro");
   MCS_EXPECTS(!upper_bound.is_negative(), "upper_bound must be >= 0");
   obs::count("auction.critical_value.searches");
   std::int64_t probes = 1;  // the wins(0) precondition probe below
@@ -60,7 +57,7 @@ std::optional<Money> bisect_critical_value(const WinsWithCost& wins,
   std::int64_t lo = 0;
   std::int64_t hi = upper_bound.micros();
   log_probe(log_phone, upper_bound, false, lo, hi);
-  while (hi - lo > tolerance_micros) {
+  while (hi - lo > 1) {
     const std::int64_t mid = lo + (hi - lo) / 2;
     ++probes;
     const bool won = wins(Money::from_micros(mid));
@@ -72,9 +69,9 @@ std::optional<Money> bisect_critical_value(const WinsWithCost& wins,
     log_probe(log_phone, Money::from_micros(mid), won, lo, hi);
   }
   obs::count("auction.critical_value.probes", probes);
-  // `lo` is the largest probed winning cost; with tolerance 1 micro the
-  // true threshold lies in (lo, lo + 1 micro], and for mechanisms whose
-  // thresholds are exact bid values (the greedy rule) `hi` equals it.
+  // `lo` is the largest probed winning cost, so the true threshold lies in
+  // (lo, lo + 1 micro], and for mechanisms whose thresholds are exact bid
+  // values (the greedy rule) `hi` equals it.
   // `critical_bid` reports `hi` -- the value this function returns and the
   // payment path charges -- so explains never drift from the money moved;
   // the [lo, hi] bracket fields keep the search window inspectable.
@@ -93,13 +90,16 @@ std::optional<Money> bisect_critical_value(const WinsWithCost& wins,
 namespace {
 
 /// Probe range: the highest task value plus the highest claimed cost
-/// exceeds any bounded critical value of the greedy rule. Saturating:
+/// exceeds any bounded critical value of the greedy rule, except that a
+/// scarce winner is paid the reserve price when one is set, so the range
+/// reaches one micro above the reserve (where every bid loses). Saturating:
 /// scenario files loaded through scenario_io may carry a task value near
 /// the int64 micro limit, where the naive sum is signed-overflow UB; the
 /// clamped Money::max() still dominates every bounded threshold (rival
 /// bids are validated strictly below it).
 Money probe_upper_bound(const model::Scenario& scenario,
-                        const model::BidProfile& bids) {
+                        const model::BidProfile& bids,
+                        const OnlineGreedyConfig& config) {
   Money max_cost;
   for (const model::Bid& bid : bids) {
     max_cost = std::max(max_cost, bid.claimed_cost);
@@ -108,8 +108,11 @@ Money probe_upper_bound(const model::Scenario& scenario,
   for (const model::Task& task : scenario.tasks) {
     max_value = std::max(max_value, scenario.value_of(task.id));
   }
-  return Money::saturating_add(Money::saturating_add(max_value, max_cost),
-                               Money::from_units(1));
+  const Money bound = Money::saturating_add(
+      Money::saturating_add(max_value, max_cost), Money::from_units(1));
+  if (!config.reserve_price) return bound;
+  return std::max(bound, Money::saturating_add(*config.reserve_price,
+                                               Money::from_micros(1)));
 }
 
 }  // namespace
@@ -124,7 +127,8 @@ std::optional<Money> greedy_critical_value(const model::Scenario& scenario,
 
 std::optional<Money> greedy_critical_value(const CounterfactualEngine& engine,
                                            PhoneId phone) {
-  const Money upper_bound = probe_upper_bound(engine.scenario(), engine.bids());
+  const Money upper_bound =
+      probe_upper_bound(engine.scenario(), engine.bids(), engine.config());
   const WinsWithCost wins = [&](Money cost) {
     // The probe allocation is bookkeeping of the search, not a decision of
     // the recorded run: keep its events out of the primary trail. (The
@@ -132,7 +136,7 @@ std::optional<Money> greedy_critical_value(const CounterfactualEngine& engine,
     const obs::ScopedEventLog suppress_inner(nullptr);
     return engine.wins_with_cost(phone, cost);
   };
-  return bisect_critical_value(wins, upper_bound, 1, phone.value());
+  return bisect_critical_value(wins, upper_bound, phone.value());
 }
 
 PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
@@ -158,12 +162,13 @@ PaymentAudit audit_winner_payment(const CounterfactualEngine& engine,
   }
   audit.critical = critical;
   // The bisection reports the first *losing* micro; at a cost tie the
-  // winner still wins at exactly the runner-up's bid, so payment and
-  // bisected threshold legitimately differ by one micro (the same
-  // tolerance payment_equivalence_test pins for Theorem 4).
-  const std::int64_t gap = std::abs(critical->micros() - paid.micros());
-  audit.verdict = gap <= 1 ? PaymentAuditVerdict::kOk
-                           : PaymentAuditVerdict::kPaymentNotCritical;
+  // winner still wins at exactly the runner-up's bid, so the threshold
+  // may sit one micro above the payment, never below it (the same rule
+  // payment_equivalence_test pins for Theorem 4).
+  const std::int64_t gap = critical->micros() - paid.micros();
+  audit.verdict = gap == 0 || gap == 1
+                      ? PaymentAuditVerdict::kOk
+                      : PaymentAuditVerdict::kPaymentNotCritical;
   return audit;
 }
 

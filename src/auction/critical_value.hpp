@@ -29,8 +29,8 @@ using WinsWithCost = std::function<bool(Money cost)>;
 /// some cost) and `wins` is monotone.
 /// Returns nullopt when the bidder wins even at `upper_bound` (the critical
 /// value is unbounded within the probed range, e.g. under supply scarcity);
-/// otherwise returns a value within `tolerance_micros` of the threshold
-/// (default: exact to one micro-unit).
+/// otherwise returns the first losing micro-unit: the bidder wins one micro
+/// below the returned value and loses at it.
 ///
 /// When an obs::EventLog is installed, every probe is recorded as a
 /// "critical_probe" event (probe bid, win/lose, resulting [lo, hi]
@@ -39,8 +39,7 @@ using WinsWithCost = std::function<bool(Money cost)>;
 /// predicate itself should suppress any instrumentation of its inner
 /// allocation re-run (greedy_critical_value does).
 [[nodiscard]] std::optional<Money> bisect_critical_value(
-    const WinsWithCost& wins, Money upper_bound,
-    std::int64_t tolerance_micros = 1, std::int32_t log_phone = -1);
+    const WinsWithCost& wins, Money upper_bound, std::int32_t log_phone = -1);
 
 class CounterfactualEngine;  // auction/counterfactual.hpp
 
@@ -48,7 +47,8 @@ class CounterfactualEngine;  // auction/counterfactual.hpp
 /// (Algorithm 1) with everyone else's bids fixed. Requires that `phone`
 /// wins when claiming 0. Returns nullopt when the phone wins at any probed
 /// cost (supply scarcity). The probe range is the task value plus the
-/// maximum claimed cost in `bids` (saturating at Money::max() on
+/// maximum claimed cost in `bids` plus one unit, or one micro above the
+/// reserve price when that is higher (saturating at Money::max() on
 /// adversarial inputs), which exceeds any bounded critical value of the
 /// greedy rule. Probes evaluate on a shared-prefix CounterfactualEngine
 /// built on the spot; the bisection *algorithm* stays independent of
@@ -88,11 +88,11 @@ struct PaymentAudit {
 };
 
 /// Audits one factual winner against Theorem 4's payment characterization:
-/// (a) the phone still wins when re-run at its reported cost, and (b) its
-/// payment `paid` equals the greedy critical value -- within the one-micro
-/// bisection granularity -- when that value is bounded. Probes run on the
-/// shared-prefix engine, so the factual pass is amortized across winners
-/// of the same round.
+/// (a) the phone still wins when re-run at its reported cost, and (b) when
+/// the greedy critical value is bounded, the bisection's first losing
+/// micro is `paid` or `paid` + 1 micro (the winner of a cost tie still
+/// wins at exactly its payment). Probes run on the shared-prefix engine,
+/// so the factual pass is amortized across winners of the same round.
 [[nodiscard]] PaymentAudit audit_winner_payment(
     const CounterfactualEngine& engine, PhoneId phone, Money paid);
 

@@ -55,13 +55,10 @@ GreedyRound::GreedyRound(Slot::rep_type num_slots, OnlineGreedyConfig config)
 
 GreedyRound::GreedyRound(const model::Scenario& scenario,
                          const model::BidProfile& bids,
-                         OnlineGreedyConfig config,
-                         std::optional<PhoneId> exclude,
-                         Slot::rep_type last_slot)
+                         OnlineGreedyConfig config)
     : GreedyRound(scenario.num_slots, config) {
   scenario.validate();  // tasks sorted by slot with dense ids
   model::validate_bids(scenario, bids);
-  if (last_slot != 0) horizon_ = std::min(last_slot, scenario.num_slots);
 
   for (const model::Task& task : scenario.tasks) {
     tasks_.push_back(SlotTask{task.id, scenario.value_of(task.id)});
@@ -70,7 +67,6 @@ GreedyRound::GreedyRound(const model::Scenario& scenario,
   // Admission (and its events) in phone-id order; the pool order is then
   // by arrival slot, ties in id order.
   for (int i = 0; i < scenario.phone_count(); ++i) {
-    if (exclude && exclude->value() == i) continue;
     const model::Bid& bid = bids[static_cast<std::size_t>(i)];
     if (!admit(PhoneId{i}, bid)) continue;
     bids_.push_back(Admitted{bid.claimed_cost.micros(), i,
@@ -395,9 +391,7 @@ GreedyPayment GreedyRound::payment(PhoneId winner) const {
            });
 
   payment.scarce_applied =
-      payment.scarce &&
-      config_.scarce_payment == OnlineGreedyConfig::ScarcePayment::kCapAtValue &&
-      payment.scarce_cap > payment.amount;
+      payment.scarce && payment.scarce_cap > payment.amount;
   if (payment.scarce_applied) payment.amount = payment.scarce_cap;
   return payment;
 }

@@ -79,12 +79,9 @@ class GreedyRound {
   GreedyRound(Slot::rep_type num_slots, OnlineGreedyConfig config);
 
   /// A whole scenario admitted up front: every task, and every bid in
-  /// phone-id order except `exclude`'s (which never bids). The round ends
-  /// after `last_slot` (0 = the scenario's horizon).
+  /// phone-id order.
   GreedyRound(const model::Scenario& scenario, const model::BidProfile& bids,
-              OnlineGreedyConfig config,
-              std::optional<PhoneId> exclude = std::nullopt,
-              Slot::rep_type last_slot = 0);
+              OnlineGreedyConfig config);
 
   /// The slot the next advance() processes.
   [[nodiscard]] Slot::rep_type current_slot() const { return current_; }

@@ -9,10 +9,8 @@ namespace mcs::auction {
 
 GreedyRun run_greedy_allocation(const model::Scenario& scenario,
                                 const model::BidProfile& bids,
-                                const OnlineGreedyConfig& config,
-                                std::optional<PhoneId> exclude,
-                                Slot::rep_type last_slot) {
-  GreedyRound round(scenario, bids, config, exclude, last_slot);
+                                const OnlineGreedyConfig& config) {
+  GreedyRound round(scenario, bids, config);
   GreedyRun run;
   run.allocation = Allocation(scenario.task_count(), scenario.phone_count());
   run.slots.reserve(static_cast<std::size_t>(round.horizon()));

@@ -17,7 +17,7 @@
 // documented in DESIGN.md Section 5:
 //  * scarcity: if, without i, some task in [t'_i, d~_i] would go unserved,
 //    i's critical value is unbounded; the payment then includes the task
-//    value nu (kCapAtValue) or falls back to b_i (kOwnBid).
+//    value nu (the reserve price when one is set).
 //  * profitability: Algorithm 1 as printed allocates even when b_i > nu;
 //    allocate_only_profitable = true skips such bids.
 //
@@ -45,14 +45,6 @@ struct OnlineGreedyConfig {
   /// paper-faithful (no reserve). Composes with allocate_only_profitable
   /// (per-task eligibility then requires b <= min(reserve, task value)).
   std::optional<Money> reserve_price;
-
-  /// Payment contribution for slots where, without the winner, a task would
-  /// have gone unallocated (critical value unbounded).
-  enum class ScarcePayment {
-    kCapAtValue,  ///< pay at least nu (keeps IR whenever c_i <= nu)
-    kOwnBid,      ///< pay only the claimed cost for such slots
-  };
-  ScarcePayment scarce_payment = ScarcePayment::kCapAtValue;
 
   friend bool operator==(const OnlineGreedyConfig&,
                          const OnlineGreedyConfig&) = default;
@@ -82,16 +74,13 @@ struct GreedyRun {
   std::vector<GreedySlotRecord> slots;  ///< index t-1 describes slot t
 };
 
-/// Runs Algorithm 1 on `bids`, optionally pretending phone `exclude` never
-/// bid (the counterfactual run of Algorithm 2), stopping after `last_slot`
-/// (0 = the full round). Exposed publicly because the second-price
-/// baseline, the analyses, and several tests build on it. A thin driver
-/// over auction::GreedyRound (auction/greedy_round.hpp).
+/// Runs Algorithm 1 on `bids` over the whole round. Exposed publicly
+/// because the second-price baseline, the analyses, and several tests
+/// build on it. A thin driver over auction::GreedyRound
+/// (auction/greedy_round.hpp).
 [[nodiscard]] GreedyRun run_greedy_allocation(
     const model::Scenario& scenario, const model::BidProfile& bids,
-    const OnlineGreedyConfig& config = {},
-    std::optional<PhoneId> exclude = std::nullopt,
-    Slot::rep_type last_slot = 0);
+    const OnlineGreedyConfig& config = {});
 
 class OnlineGreedyMechanism final : public Mechanism {
  public:

@@ -20,11 +20,10 @@
 
 namespace mcs::serve {
 
-bool econ_probe_sampled(std::int64_t round, std::int64_t probe_every,
-                        std::uint64_t probe_seed) {
+bool econ_probe_sampled(std::int64_t round, std::int64_t probe_every) {
   if (probe_every <= 0) return false;
   const std::uint64_t mixed =
-      SplitMix64(static_cast<std::uint64_t>(round) ^ probe_seed).next();
+      SplitMix64(static_cast<std::uint64_t>(round)).next();
   return mixed % static_cast<std::uint64_t>(probe_every) == 0;
 }
 
@@ -146,10 +145,8 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
     }
 
     try {
-      const auction::SecondPriceConfig reference_config{
-          auction::SecondPriceConfig::NoRunnerUp::kOwnBid, config_.greedy};
       round.second_price_payment_micros =
-          auction::SecondPriceBaseline(reference_config)
+          auction::SecondPriceBaseline(config_.greedy)
               .run(captured.scenario, captured.bids)
               .total_payment()
               .micros();
@@ -168,8 +165,7 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
       }
     }
 
-    if (econ_probe_sampled(result.round, config_.probe_every,
-                           config_.probe_seed)) {
+    if (econ_probe_sampled(result.round, config_.probe_every)) {
       try {
         const auction::CounterfactualEngine engine(
             captured.scenario, captured.bids, config_.greedy);

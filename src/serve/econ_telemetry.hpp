@@ -59,10 +59,9 @@ struct EconTelemetryConfig {
 
   /// Deep-probe sampling: 1-in-N rounds get per-winner counterfactual
   /// probes; 0 disables deep probes (cheap invariants still run on every
-  /// round). The sampler hashes (round id XOR probe_seed), so the sampled
-  /// set is a pure function of the stream, never of wall time.
+  /// round). The sampler hashes the round id, so the sampled set is a pure
+  /// function of the stream, never of wall time.
   std::int64_t probe_every = 16;
-  std::uint64_t probe_seed = 0;
 
   /// Mechanism knobs the counterfactual probes replay under; must match
   /// the engine's ServeConfig::greedy for the payment == critical-value
@@ -82,8 +81,7 @@ inline constexpr int kVcgMaxTasks = 12;
 /// Whether a given round id is deep-probed under this sampling config
 /// (exposed so tests and docs can predict the sampled set).
 [[nodiscard]] bool econ_probe_sampled(std::int64_t round,
-                                      std::int64_t probe_every,
-                                      std::uint64_t probe_seed);
+                                      std::int64_t probe_every);
 
 using EconWindow = obs::Window<obs::EconCumulative>;
 

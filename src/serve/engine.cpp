@@ -1,6 +1,7 @@
 #include "serve/engine.hpp"
 
 #include <algorithm>
+#include <exception>
 #include <utility>
 
 #include "common/error.hpp"
@@ -194,7 +195,9 @@ void ServeEngine::worker_main(Shard& shard) {
       if (!shard.error.empty()) continue;  // poisoned: drain without work
       try {
         process_event(shard, rounds, popped.event, now, popped.enqueue_ns);
-      } catch (const Error& e) {
+      } catch (const std::exception& e) {
+        // Any exception, std::bad_alloc included, fails the round or the
+        // stream; none may escape the worker into std::terminate.
         if (config_.admission == ServeConfig::Admission::kReject) {
           // Shedding already made the stream lossy; a hole in one round's
           // event sequence drops that round, not the whole engine.

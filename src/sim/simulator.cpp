@@ -55,21 +55,9 @@ void run_repetition(const SimulationConfig& config,
                     int rep, SimulationResult& result) {
   const obs::ScopedTimer rep_timer("sim.repetition_duration_us");
   obs::count("sim.repetitions");
-  // Event sampling: keep the decision log for every n-th repetition,
-  // suppress the rest (an unsampled sim would otherwise record every
-  // decision of every repetition -- far too noisy for 30+ reps).
-  const bool sample_events =
-      config.log_every_n > 0 && rep % config.log_every_n == 0;
-  std::optional<obs::ScopedEventLog> suppress_events;
-  if (!sample_events) suppress_events.emplace(nullptr);
-  if (sample_events) {
-    obs::log_event([&] {
-      obs::Event event("repetition_started");
-      event.with("rep", static_cast<std::int64_t>(rep))
-          .with("seed", static_cast<std::int64_t>(config.base_seed));
-      return event;
-    });
-  }
+  // A simulation records no decision events: every decision of every
+  // repetition would be far too noisy for 30+ reps.
+  const obs::ScopedEventLog suppress_events(nullptr);
   // The shared (seed, rep) fork discipline of model::round_scenario keeps
   // repetition k reproducible and independent of execution order.
   const model::Scenario scenario =

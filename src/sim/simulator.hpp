@@ -24,14 +24,6 @@ struct SimulationConfig {
   model::WorkloadConfig workload;
   int repetitions = 30;
   std::uint64_t base_seed = 42;
-  /// Decision-event sampling: when an obs::EventLog is installed and
-  /// log_every_n > 0, every n-th repetition (0, n, 2n, ...) records its
-  /// full decision trail, bracketed by a "repetition_started" marker; the
-  /// others run with event recording suppressed. 0 disables sampling (no
-  /// repetition records events). simulate_parallel workers inherit no
-  /// thread-local event log, so sampling only applies to the sequential
-  /// path (and to parallel runs that fall back to it).
-  int log_every_n = 0;
 };
 
 /// Aggregated metrics of one mechanism over all repetitions.

@@ -83,16 +83,8 @@ TEST(SecondPrice, WhileOurMechanismsPassTheSameAudit) {
 TEST(SecondPrice, NoRunnerUpFallbacks) {
   const model::Scenario s =
       model::ScenarioBuilder(1).value(10).phone(1, 1, 3).task(1).build();
-  {
-    const SecondPriceBaseline own_bid;  // default kOwnBid
-    EXPECT_EQ(own_bid.run_truthful(s).payments[0], mu(3));
-  }
-  {
-    SecondPriceConfig config;
-    config.no_runner_up = SecondPriceConfig::NoRunnerUp::kTaskValue;
-    const SecondPriceBaseline value_fallback(config);
-    EXPECT_EQ(value_fallback.run_truthful(s).payments[0], mu(10));
-  }
+  // No losing bid in the slot: the winner is paid its own bid.
+  EXPECT_EQ(SecondPriceBaseline{}.run_truthful(s).payments[0], mu(3));
 }
 
 TEST(SecondPrice, UniformPriceWithMultipleTasksPerSlot) {
@@ -144,7 +136,7 @@ TEST(SecondPrice, EqualBidsAcrossSlotsWinInIdOrder) {
   EXPECT_TRUE(outcome.allocation.is_winner(PhoneId{0}));
   EXPECT_EQ(outcome.payments[0], mu(5));
   // Slot 2: phones {1 gone, 2} -> phone 2 wins; no loser left in the
-  // pool, so the kOwnBid default pays its own claim.
+  // pool, so it is paid its own claim.
   EXPECT_FALSE(outcome.allocation.is_winner(PhoneId{1}));
   EXPECT_TRUE(outcome.allocation.is_winner(PhoneId{2}));
   EXPECT_EQ(outcome.payments[2], mu(5));

@@ -15,11 +15,14 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "support/monotonicity.hpp"
+#include "support/reference_greedy.hpp"
 #include "analysis/rationality.hpp"
 #include "analysis/truthfulness.hpp"
+#include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
 #include "common/rng.hpp"
 #include "model/paper_examples.hpp"
@@ -107,20 +110,22 @@ TEST(OnlineGreedy, EmptyPoolLeavesTasksUnallocated) {
 
 TEST(OnlineGreedy, ExcludePhoneReproducesPaperCounterfactual) {
   // Removing phone 0: the paper says the tasks go to smartphones 5, 7, 6, 4
-  // (0-based 4, 6, 5, 3) with costs 4, 6, 8, 9 in slots 2-5.
+  // (0-based 4, 6, 5, 3) with costs 4, 6, 8, 9 in slots 2-5. Task t-1 is
+  // slot t's only task.
   const model::Scenario s = model::fig4_scenario();
-  const GreedyRun run =
-      run_greedy_allocation(s, s.truthful_bids(), {}, PhoneId{0});
-  EXPECT_EQ(run.slots[1].winners, std::vector<PhoneId>{PhoneId{4}});
-  EXPECT_EQ(run.slots[2].winners, std::vector<PhoneId>{PhoneId{6}});
-  EXPECT_EQ(run.slots[3].winners, std::vector<PhoneId>{PhoneId{5}});
-  EXPECT_EQ(run.slots[4].winners, std::vector<PhoneId>{PhoneId{3}});
+  const test_support::ReferenceRun run =
+      test_support::reference_allocation(s, s.truthful_bids(), {}, 0);
+  using Assigned = std::vector<std::pair<int, int>>;
+  EXPECT_EQ(run.slots[1].assigned, (Assigned{{1, 4}}));
+  EXPECT_EQ(run.slots[2].assigned, (Assigned{{2, 6}}));
+  EXPECT_EQ(run.slots[3].assigned, (Assigned{{3, 5}}));
+  EXPECT_EQ(run.slots[4].assigned, (Assigned{{4, 3}}));
 }
 
 TEST(OnlineGreedy, LastSlotLimitTruncatesTheRun) {
   const model::Scenario s = model::fig4_scenario();
-  const GreedyRun run = run_greedy_allocation(s, s.truthful_bids(), {},
-                                              std::nullopt, /*last_slot=*/2);
+  const test_support::ReferenceRun run = test_support::reference_allocation(
+      s, s.truthful_bids(), {}, -1, /*last_slot=*/2);
   EXPECT_EQ(run.slots.size(), 2u);
 }
 
@@ -179,23 +184,6 @@ TEST(OnlineGreedy, PaymentNeverBelowClaimedCost) {
   for (const PhoneId winner : outcome.allocation.winners()) {
     EXPECT_GE(outcome.payments[static_cast<std::size_t>(winner.value())],
               bids[static_cast<std::size_t>(winner.value())].claimed_cost);
-  }
-}
-
-TEST(OnlineGreedy, ScarcityPaymentPolicies) {
-  // A single phone: without it every task in its window is unserved, so
-  // its critical value is unbounded.
-  const model::Scenario s =
-      model::ScenarioBuilder(2).value(10).phone(1, 2, 3).task(1).build();
-  {
-    const OnlineGreedyMechanism cap;  // default kCapAtValue
-    EXPECT_EQ(cap.run_truthful(s).payments[0], mu(10));
-  }
-  {
-    OnlineGreedyConfig config;
-    config.scarce_payment = OnlineGreedyConfig::ScarcePayment::kOwnBid;
-    const OnlineGreedyMechanism own(config);
-    EXPECT_EQ(own.run_truthful(s).payments[0], mu(3));
   }
 }
 
@@ -273,6 +261,24 @@ TEST(OnlineGreedy, ReservePriceIsTheScarcePaymentAndRestoresTruthfulness) {
   const model::BidProfile inflated = model::with_bid(
       s.truthful_bids(), PhoneId{0}, model::Bid{SlotInterval::of(1, 1), mu(50)});
   EXPECT_EQ(mechanism.run(s, inflated).utility(s, PhoneId{0}), Money{});
+}
+
+TEST(OnlineGreedy, CriticalValueSearchReachesAReserveAboveEveryBid) {
+  // A reserve far above every value and bid: the scarce winner is paid
+  // the reserve and loses one micro above it, so the search must probe
+  // past the reserve instead of calling the winner unbounded.
+  const model::Scenario s =
+      model::ScenarioBuilder(1).value(20).phone(1, 1, 8).task(1).build();
+  OnlineGreedyConfig config;
+  config.reserve_price = mu(1000);
+  const model::BidProfile bids = s.truthful_bids();
+  ASSERT_EQ(OnlineGreedyMechanism(config).run(s, bids).payments[0], mu(1000));
+
+  EXPECT_EQ(greedy_critical_value(s, bids, PhoneId{0}, config),
+            mu(1000) + Money::from_micros(1));
+  const CounterfactualEngine engine(s, bids, config);
+  EXPECT_EQ(audit_winner_payment(engine, PhoneId{0}, mu(1000)).verdict,
+            PaymentAuditVerdict::kOk);
 }
 
 TEST(OnlineGreedy, ReserveComposesWithProfitableOnly) {

@@ -33,8 +33,7 @@ std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
           auction::BatchedMatchingConfig{2});
     case 4: {
       auction::OnlineGreedyConfig config;
-      config.scarce_payment =
-          auction::OnlineGreedyConfig::ScarcePayment::kOwnBid;
+      config.allocate_only_profitable = true;
       return std::make_unique<auction::OnlineGreedyMechanism>(config);
     }
     case 5:

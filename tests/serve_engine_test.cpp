@@ -122,8 +122,6 @@ TEST(ServeEngine, EquivalenceHoldsUnderReserveAndProfitabilityKnobs) {
   config.shards = 2;
   config.greedy.reserve_price = Money::from_units(30);
   config.greedy.allocate_only_profitable = true;
-  config.greedy.scarce_payment =
-      auction::OnlineGreedyConfig::ScarcePayment::kOwnBid;
 
   const std::vector<RoundOutcome> outcomes =
       run_engine(events_of(load), config);

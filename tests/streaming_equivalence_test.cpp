@@ -119,8 +119,6 @@ class PlatformEquivalence : public ::testing::TestWithParam<EquivalenceParam> {
       default:
         config.allocate_only_profitable = true;
         config.reserve_price = Money::from_units(20);
-        config.scarce_payment =
-            auction::OnlineGreedyConfig::ScarcePayment::kOwnBid;
     }
     return config;
   }

@@ -102,10 +102,7 @@ ReferenceOutcome reference_online_greedy(
           cap = std::max(cap, threshold);
         }
       }
-      if (scarce && config.scarce_payment ==
-                        auction::OnlineGreedyConfig::ScarcePayment::kCapAtValue) {
-        payment = std::max(payment, cap);
-      }
+      if (scarce) payment = std::max(payment, cap);
       outcome.payments[static_cast<std::size_t>(winner)] = payment;
     }
   }
@@ -144,10 +141,6 @@ config_families() {
   OnlineGreedyConfig profitable;
   profitable.allocate_only_profitable = true;
   families.emplace_back("profitable_only", profitable);
-
-  OnlineGreedyConfig own_bid;
-  own_bid.scarce_payment = OnlineGreedyConfig::ScarcePayment::kOwnBid;
-  families.emplace_back("scarce_own_bid", own_bid);
 
   OnlineGreedyConfig both;
   both.allocate_only_profitable = true;

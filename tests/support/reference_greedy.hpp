@@ -44,7 +44,7 @@ struct ReferenceOutcome {
 
 /// Algorithms 1 and 2: every winner is paid the highest winning bid among
 /// slots [t'_i, d~_i] of the run without it (never below its own bid),
-/// with the configured scarcity policy for tasks that run leaves unserved.
+/// and at least the scarcity cap when that run leaves a task unserved.
 [[nodiscard]] ReferenceOutcome reference_online_greedy(
     const model::Scenario& scenario, const model::BidProfile& bids,
     const auction::OnlineGreedyConfig& config);

@@ -680,7 +680,6 @@ int cmd_serve(int argc, const char* const* argv) {
   cli.add_int("econ-probe-every", 16,
               "deep-probe 1-in-N rounds through the counterfactual engine "
               "(0 = cheap invariants only)");
-  cli.add_int("econ-probe-seed", 0, "seed of the deep-probe round sampler");
   cli.add_string("trace-jsonl", "",
                  "write retained per-round traces as mcs.trace.v1 JSONL; "
                  "enables the causal trace plane (tail-based sampling)");
@@ -716,7 +715,7 @@ int cmd_serve(int argc, const char* const* argv) {
   }
 
   serve::LoadGenConfig load;
-  load.rounds = cli.get_int("rounds");
+  load.rounds = static_cast<std::int64_t>(non_negative_flag(cli, "rounds"));
   load.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   load.workload.num_slots = static_cast<Slot::rep_type>(cli.get_int("slots"));
   load.workload.phone_arrival_rate = cli.get_double("lambda");
@@ -747,6 +746,10 @@ int cmd_serve(int argc, const char* const* argv) {
 
   const std::string stats_path = cli.get_string("stats-out");
   const std::string prom_path = cli.get_string("stats-prom");
+  const std::int64_t stats_period_ms = cli.get_int("stats-period-ms");
+  if (stats_period_ms < 1) {
+    throw InvalidArgumentError("--stats-period-ms must be >= 1");
+  }
   const double target_eps = cli.get_double("target-eps");
   if (target_eps > 0.0 && !use_loadgen) {
     throw InvalidArgumentError(
@@ -766,6 +769,8 @@ int cmd_serve(int argc, const char* const* argv) {
   const std::string econ_path = cli.get_string("econ-out");
   const std::string econ_prom_path = cli.get_string("econ-prom");
   const std::string econ_events_path = cli.get_string("econ-events");
+  const auto probe_every =
+      static_cast<std::int64_t>(non_negative_flag(cli, "econ-probe-every"));
   std::ofstream econ_events_file;
   std::unique_ptr<obs::JsonlEventSink> econ_events_sink;
   std::unique_ptr<obs::EventLog> econ_events_log;
@@ -774,9 +779,7 @@ int cmd_serve(int argc, const char* const* argv) {
       !econ_events_path.empty()) {
     serve::EconTelemetryConfig econ_config;
     econ_config.greedy = config.greedy;
-    econ_config.probe_every = cli.get_int("econ-probe-every");
-    econ_config.probe_seed =
-        static_cast<std::uint64_t>(cli.get_int("econ-probe-seed"));
+    econ_config.probe_every = probe_every;
     if (!econ_events_path.empty()) {
       econ_events_file.open(econ_events_path);
       if (!econ_events_file) {
@@ -836,7 +839,7 @@ int cmd_serve(int argc, const char* const* argv) {
       if (!stats_file) throw IoError("cannot open stats file: " + stats_path);
       publisher = std::make_unique<serve::StatsPublisher>(
           *live, stats_file,
-          std::chrono::milliseconds(cli.get_int("stats-period-ms")),
+          std::chrono::milliseconds(stats_period_ms),
           econ.get(), econ_file.is_open() ? &econ_file : nullptr);
     }
 
