@@ -99,6 +99,7 @@ EconStreamSummary summarize_econ_stream(std::istream& is) {
     summary.vcg_rounds = total.int_or("vcg_rounds", 0);
     summary.probe_rounds = total.int_or("probe_rounds", 0);
     summary.probe_checks = total.int_or("probe_checks", 0);
+    summary.probe_unbounded = total.int_or("probe_unbounded", 0);
     summary.violations = total.int_or("violations", 0);
   }
   if (summary.snapshots == 0) {
@@ -119,7 +120,8 @@ void render_econ_stream(std::ostream& os, const EconStreamSummary& s) {
      << "- rounds audited: " << s.rounds << " (skipped " << s.rounds_skipped
      << ")\n"
      << "- sentinel: " << s.probe_rounds << " deep-probed rounds, "
-     << s.probe_checks << " winner probes, " << s.violations
+     << s.probe_checks << " winner probes (" << s.probe_unbounded
+     << " skipped as unbounded), " << s.violations
      << " violations\n\n"
      << "| metric | value |\n|---|---:|\n"
      << "| tasks | " << s.tasks << " |\n"

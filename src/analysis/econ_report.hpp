@@ -82,6 +82,7 @@ struct EconStreamSummary {
   std::int64_t vcg_rounds{0};
   std::int64_t probe_rounds{0};
   std::int64_t probe_checks{0};
+  std::int64_t probe_unbounded{0};  ///< probed winners skipped as unbounded
   std::int64_t violations{0};
   double overpayment_ratio{0.0};
   double coverage{1.0};

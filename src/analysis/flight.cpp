@@ -5,50 +5,19 @@
 #include <utility>
 #include <vector>
 
-#include "auction/batched_matching.hpp"
 #include "auction/counterfactual.hpp"
 #include "auction/critical_value.hpp"
-#include "auction/offline_vcg.hpp"
-#include "auction/online_greedy.hpp"
-#include "auction/second_price.hpp"
 #include "common/error.hpp"
 #include "io/json_parse.hpp"
 #include "model/scenario_io.hpp"
 
 namespace mcs::analysis {
 
-namespace {
-
-auction::OnlineGreedyConfig online_config(const RunSpec& spec) {
+auction::OnlineGreedyConfig RunSpec::greedy() const {
   auction::OnlineGreedyConfig config;
-  config.allocate_only_profitable = spec.profitable_only;
-  if (spec.reserve > 0.0) {
-    config.reserve_price = Money::from_double(spec.reserve);
-  }
+  config.allocate_only_profitable = profitable_only;
+  if (reserve > 0.0) config.reserve_price = Money::from_double(reserve);
   return config;
-}
-
-}  // namespace
-
-std::unique_ptr<auction::Mechanism> make_mechanism(const RunSpec& spec) {
-  if (spec.mechanism == "online") {
-    return std::make_unique<auction::OnlineGreedyMechanism>(
-        online_config(spec));
-  }
-  if (spec.mechanism == "offline") {
-    return std::make_unique<auction::OfflineVcgMechanism>();
-  }
-  if (spec.mechanism == "second-price") {
-    return std::make_unique<auction::SecondPriceBaseline>(online_config(spec));
-  }
-  if (spec.mechanism == "batched") {
-    return std::make_unique<auction::BatchedMatchingMechanism>(
-        auction::BatchedMatchingConfig{
-            static_cast<Slot::rep_type>(spec.batch)});
-  }
-  throw InvalidArgumentError(
-      "unknown mechanism '" + spec.mechanism +
-      "' (expected online, offline, second-price, or batched)");
 }
 
 // --------------------------------------------------------- encodings
@@ -107,7 +76,8 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
                             bool probe_critical_values) {
   scenario.validate();
   model::validate_bids(scenario, bids);
-  const std::unique_ptr<auction::Mechanism> mechanism = make_mechanism(spec);
+  const std::unique_ptr<auction::Mechanism> mechanism =
+      auction::make_mechanism(spec.mechanism, spec.greedy());
 
   const obs::ScopedEventLog install(&log);
   {
@@ -117,7 +87,6 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
     started.with("mechanism", spec.mechanism)
         .with("reserve", spec.reserve)
         .with("profitable_only", spec.profitable_only)
-        .with("batch", spec.batch)
         .with("phones", static_cast<std::int64_t>(scenario.phone_count()))
         .with("tasks", static_cast<std::int64_t>(scenario.task_count()))
         .with("slots", static_cast<std::int64_t>(scenario.num_slots))
@@ -134,8 +103,7 @@ auction::Outcome record_run(obs::EventLog& log, const RunSpec& spec,
     // explain_phone can trace the payment back to the critical bid. One
     // shared-prefix engine serves every winner's probes -- a single
     // factual pass, then per-probe forks at each winner's arrival.
-    const auction::OnlineGreedyConfig config = online_config(spec);
-    const auction::CounterfactualEngine engine(scenario, bids, config);
+    const auction::CounterfactualEngine engine(scenario, bids, spec.greedy());
     for (const PhoneId winner : outcome.allocation.winners()) {
       (void)auction::greedy_critical_value(engine, winner);
     }
@@ -206,7 +174,6 @@ ReplayReport replay_run(std::istream& events_jsonl) {
   spec.mechanism = started->at("mechanism").as_string();
   spec.reserve = started->at("reserve").as_number();
   spec.profitable_only = started->at("profitable_only").as_bool();
-  spec.batch = started->at("batch").as_int();
 
   std::istringstream scenario_text(started->at("scenario").as_string());
   const model::Scenario scenario = model::read_scenario(scenario_text);
@@ -219,7 +186,9 @@ ReplayReport replay_run(std::istream& events_jsonl) {
   {
     // The oracle re-run must not append to any installed log.
     const obs::ScopedEventLog suppress(nullptr);
-    report.reproduced = encode_outcome(make_mechanism(spec)->run(scenario, bids));
+    report.reproduced = encode_outcome(
+        auction::make_mechanism(spec.mechanism, spec.greedy())
+            ->run(scenario, bids));
   }
   report.clean = report.recorded == report.reproduced;
   if (!report.clean) {

@@ -20,10 +20,10 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 
 #include "auction/mechanism.hpp"
+#include "auction/online_greedy.hpp"
 #include "model/scenario.hpp"
 #include "obs/event_log.hpp"
 
@@ -33,16 +33,14 @@ namespace mcs::analysis {
 /// a Mechanism*) is what travels inside run_started records, so a replay
 /// can reconstruct the exact configuration.
 struct RunSpec {
-  std::string mechanism = "online";  ///< online|offline|second-price|batched
+  std::string mechanism = "online";  ///< a name auction::make_mechanism knows
   double reserve = 0.0;              ///< online reserve price (0 = none)
   bool profitable_only = false;      ///< skip bids above the task value
-  std::int64_t batch = 5;            ///< batch size for "batched"
-};
 
-/// Builds the mechanism a RunSpec names; throws InvalidArgumentError on an
-/// unknown name.
-[[nodiscard]] std::unique_ptr<auction::Mechanism> make_mechanism(
-    const RunSpec& spec);
+  /// The greedy configuration the reserve and profitability knobs select
+  /// (what auction::make_mechanism gets alongside `mechanism`).
+  [[nodiscard]] auction::OnlineGreedyConfig greedy() const;
+};
 
 /// Canonical one-line encodings used inside run_started / run_finished
 /// records. Deterministic and exact (Money via to_string), so equality of

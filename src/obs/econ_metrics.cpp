@@ -54,6 +54,7 @@ constexpr std::array kEconCounts{
     &EconCumulative::vcg_rounds,
     &EconCumulative::probe_rounds,
     &EconCumulative::probe_checks,
+    &EconCumulative::probe_unbounded,
     &EconCumulative::violations,
 };
 

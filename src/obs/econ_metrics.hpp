@@ -75,6 +75,9 @@ struct EconCumulative {
   std::int64_t vcg_rounds{0};    ///< rounds the VCG reference covered
   std::int64_t probe_rounds{0};  ///< rounds the deep sentinel sampled
   std::int64_t probe_checks{0};  ///< individual winner probes executed
+  /// Probed winners whose critical value was unbounded (supply scarcity),
+  /// so Theorem 4's payment check was skipped for them.
+  std::int64_t probe_unbounded{0};
   std::int64_t violations{0};    ///< sentinel violations (any kind)
   LatencySketchSnapshot fairness;     ///< per-round Jain index, micro-scaled
   LatencySketchSnapshot overpayment;  ///< per-round sigma, micro-scaled

@@ -170,12 +170,17 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
         const auction::CounterfactualEngine engine(
             captured.scenario, captured.bids, config_.greedy);
         std::int64_t checks = 0;
+        std::int64_t unbounded = 0;
         for (const PhoneId winner : result.outcome.allocation.winners()) {
           const Money paid = result.outcome.payments[static_cast<std::size_t>(
               winner.value())];
           const auction::PaymentAudit audit =
               auction::audit_winner_payment(engine, winner, paid);
           ++checks;
+          if (audit.verdict ==
+              auction::PaymentAuditVerdict::kUnboundedSkipped) {
+            ++unbounded;
+          }
           if (audit.verdict == auction::PaymentAuditVerdict::kLosesAtClaim) {
             violations.push_back(
                 Violation{"probe-loses-at-claim", winner.value(), paid,
@@ -191,6 +196,7 @@ std::int64_t EconTelemetry::observe_round(int shard, RoundMachine& machine,
         }
         round.probe_rounds = 1;
         round.probe_checks = checks;
+        round.probe_unbounded = unbounded;
       } catch (const Error&) {
         // A probe that cannot even replay the round is a skip, not proof
         // of mispricing; the cheap invariants above still stand.
@@ -288,6 +294,7 @@ void write_econ_snapshot(std::ostream& os, const EconSnapshot& snapshot) {
     write_ratio_fields(json, "overpayment", window.overpayment);
     json.field("probe_rounds", window.probe_rounds);
     json.field("probe_checks", window.probe_checks);
+    json.field("probe_unbounded", window.probe_unbounded);
     json.field("violations", window.violations);
     json.key("cumulative");
     json.begin_object();
@@ -304,6 +311,7 @@ void write_econ_snapshot(std::ostream& os, const EconSnapshot& snapshot) {
     json.field("vcg_rounds", cumulative.vcg_rounds);
     json.field("probe_rounds", cumulative.probe_rounds);
     json.field("probe_checks", cumulative.probe_checks);
+    json.field("probe_unbounded", cumulative.probe_unbounded);
     json.field("violations", cumulative.violations);
     json.end_object();
     json.key("shards");
@@ -358,6 +366,9 @@ void render_econ_prometheus(std::ostream& os, const EconSnapshot& snapshot) {
   gauge("serve.econ.probe_rounds",
         static_cast<double>(snapshot.cumulative.probe_rounds),
         "rounds deep-probed since attach");
+  gauge("serve.econ.probe_unbounded",
+        static_cast<double>(snapshot.cumulative.probe_unbounded),
+        "probed winners skipped as unbounded (scarcity) since attach");
   for (std::size_t i = 0; i < snapshot.shards.size(); ++i) {
     const std::string prefix = "serve.econ.shard." + std::to_string(i) + ".";
     gauge(prefix + "rounds", static_cast<double>(snapshot.shards[i].delta.rounds));

@@ -52,17 +52,6 @@ struct SimulationResult {
     const SimulationConfig& config,
     const std::vector<const auction::Mechanism*>& mechanisms);
 
-/// Multi-threaded variant. Repetitions are dealt round-robin to `threads`
-/// workers (0 = hardware concurrency); per-repetition RNG streams are the
-/// same deterministic forks the sequential run uses, so the sample set is
-/// identical to simulate() -- aggregates may differ only in floating-point
-/// accumulation order. Mechanisms must be safe to call concurrently (all
-/// mechanisms in this library are: run() is const and stateless).
-[[nodiscard]] SimulationResult simulate_parallel(
-    const SimulationConfig& config,
-    const std::vector<const auction::Mechanism*>& mechanisms,
-    int threads = 0);
-
 /// The mechanism pair every figure compares: online greedy and offline VCG,
 /// in that order (matching the paper's plot legends).
 struct StandardMechanisms {

@@ -263,19 +263,25 @@ TEST(Arena, RejectsEmptyGridsAndUnknownSpecs) {
 }
 
 TEST(Arena, MechanismSpecsCoverTheInTreeCatalog) {
+  // The arena resolves its mechanism names through the one catalogue.
   const MatchConfig match;
-  EXPECT_EQ(make_arena_mechanism("online", match)->name(), "online-greedy");
-  EXPECT_EQ(make_arena_mechanism("offline", match)->name(), "offline-vcg");
-  EXPECT_EQ(make_arena_mechanism("second-price", match)->name(),
+  EXPECT_EQ(auction::make_mechanism("online", match.greedy)->name(),
+            "online-greedy");
+  EXPECT_EQ(auction::make_mechanism("offline", match.greedy)->name(),
+            "offline-vcg");
+  EXPECT_EQ(auction::make_mechanism("second-price", match.greedy)->name(),
             "per-slot-second-price");
-  EXPECT_EQ(make_arena_mechanism("posted(30)", match)->name(),
-            "posted-price(30)");
-  EXPECT_THROW((void)make_arena_mechanism("posted", match),
-               InvalidArgumentError);
-  EXPECT_THROW((void)make_arena_mechanism("online(3)", match),
-               InvalidArgumentError);
-  EXPECT_THROW((void)make_arena_mechanism("patience(2)", match),
-               InvalidArgumentError);
+  for (const char* unknown : {"posted(30)", "batched", "online(3)",
+                              "patience(2)"}) {
+    try {
+      (void)auction::make_mechanism(unknown, match.greedy);
+      ADD_FAILURE() << unknown << " resolved";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "unknown mechanism '" + std::string(unknown) +
+                    "' (known: online, offline, second-price)");
+    }
+  }
 }
 
 }  // namespace

@@ -11,8 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "analysis/flight.hpp"
 #include "analysis/metrics.hpp"
+#include "auction/mechanism.hpp"
+#include "auction/online_greedy.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "model/workload.hpp"
@@ -34,8 +35,8 @@ ScenarioGenerator small_generator() {
 
 TEST(EconReport, SummaryMatchesManualMetricsFoldExactly) {
   const ScenarioGenerator generator = small_generator();
-  const RunSpec spec;  // online greedy
-  const auto mechanism = make_mechanism(spec);
+  const auto mechanism =
+      auction::make_mechanism("online", auction::OnlineGreedyConfig{});
   const std::int64_t rounds = 5;
 
   const MechanismEconSummary summary =
@@ -71,10 +72,9 @@ TEST(EconReport, LeaderboardRanksByWelfareDeterministically) {
   const ScenarioGenerator generator = small_generator();
   std::vector<MechanismEconSummary> summaries;
   for (const std::string name : {"online", "offline", "second-price"}) {
-    RunSpec spec;
-    spec.mechanism = name;
-    summaries.push_back(
-        summarize_mechanism(*make_mechanism(spec), generator, 3));
+    summaries.push_back(summarize_mechanism(
+        *auction::make_mechanism(name, auction::OnlineGreedyConfig{}),
+        generator, 3));
   }
   std::ostringstream first;
   render_econ_leaderboard(first, summaries);
@@ -113,6 +113,24 @@ TEST(EconReport, StreamSummaryRoundTripsLiveSnapshots) {
   std::ostringstream rendered;
   render_econ_stream(rendered, summary);
   EXPECT_NE(rendered.str().find("healthy"), std::string::npos)
+      << rendered.str();
+}
+
+TEST(EconReport, StreamSummaryReportsProbesSkippedAsUnbounded) {
+  std::istringstream in(
+      "{\"schema\":\"mcs.serve_econ.v1\",\"window\":0,"
+      "\"econ_state\":\"healthy\",\"cumulative\":{\"rounds\":1,"
+      "\"winners\":3,\"payment\":\"10\",\"claimed_cost\":\"5\","
+      "\"second_price_payment\":\"0\",\"vcg_payment\":\"0\","
+      "\"probe_rounds\":1,\"probe_checks\":3,\"probe_unbounded\":2,"
+      "\"violations\":0}}\n");
+  const EconStreamSummary summary = summarize_econ_stream(in);
+  EXPECT_EQ(summary.probe_checks, 3);
+  EXPECT_EQ(summary.probe_unbounded, 2);
+  std::ostringstream rendered;
+  render_econ_stream(rendered, summary);
+  EXPECT_NE(rendered.str().find("3 winner probes (2 skipped as unbounded)"),
+            std::string::npos)
       << rendered.str();
 }
 

@@ -1,58 +1,39 @@
 // Cross-mechanism property suite: the invariants every mechanism in the
 // library must satisfy, swept over (mechanism x supply-regime x seed).
-// This is the coarse net under the per-mechanism suites -- any new
-// mechanism added to the registry below inherits the whole battery.
+// This is the coarse net under the per-mechanism suites -- any mechanism
+// or configuration added to the table below inherits the whole battery.
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <tuple>
 
+#include "analysis/flight.hpp"
 #include "analysis/metrics.hpp"
 #include "analysis/rationality.hpp"
-#include "auction/batched_matching.hpp"
-#include "auction/naive_baselines.hpp"
+#include "auction/mechanism.hpp"
 #include "auction/offline_vcg.hpp"
-#include "auction/online_greedy.hpp"
-#include "auction/posted_price.hpp"
-#include "auction/second_price.hpp"
 #include "support/generators.hpp"
 
 namespace mcs {
 namespace {
 
+/// Every catalogue name under the configurations the CLI can select:
+/// reserve price (0 = none) and profitable-only.
+const analysis::RunSpec kMechanisms[] = {
+    {"online", 0.0, false},       {"offline", 0.0, false},
+    {"second-price", 0.0, false}, {"second-price", 0.0, true},
+    {"online", 0.0, true},        {"online", 20.0, false},
+    {"second-price", 30.0, true}, {"online", 30.0, true},
+    {"second-price", 20.0, false},
+};
+
 std::unique_ptr<auction::Mechanism> make_mechanism(int id) {
-  switch (id) {
-    case 0:
-      return std::make_unique<auction::OnlineGreedyMechanism>();
-    case 1:
-      return std::make_unique<auction::OfflineVcgMechanism>();
-    case 2:
-      return std::make_unique<auction::SecondPriceBaseline>();
-    case 3:
-      return std::make_unique<auction::BatchedMatchingMechanism>(
-          auction::BatchedMatchingConfig{2});
-    case 4: {
-      auction::OnlineGreedyConfig config;
-      config.allocate_only_profitable = true;
-      return std::make_unique<auction::OnlineGreedyMechanism>(config);
-    }
-    case 5:
-      return std::make_unique<auction::PostedPriceMechanism>(
-          Money::from_units(20));
-    case 6:
-      return std::make_unique<auction::FifoAllocationMechanism>();
-    case 7: {
-      auction::OnlineGreedyConfig config;
-      config.reserve_price = Money::from_units(30);
-      config.allocate_only_profitable = true;
-      return std::make_unique<auction::OnlineGreedyMechanism>(config);
-    }
-    default:
-      return std::make_unique<auction::RandomAllocationMechanism>(5);
-  }
+  const analysis::RunSpec& spec = kMechanisms[static_cast<std::size_t>(id)];
+  return auction::make_mechanism(spec.mechanism, spec.greedy());
 }
 
-constexpr int kMechanismCount = 9;
+constexpr int kMechanismCount = static_cast<int>(std::size(kMechanisms));
 
 using Param = std::tuple<int, std::uint64_t, bool>;  // mechanism, seed, scarce-free
 

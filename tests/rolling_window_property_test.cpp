@@ -114,6 +114,7 @@ TEST(RollingWindowProperty, EconAggregatorObeysTheSameConservationLaw) {
         econ.claimed_cost_micros += micros(rng);
         econ.second_price_payment_micros += micros(rng);
         econ.probe_checks += small(rng);
+        econ.probe_unbounded += small(rng) == 0 ? 1 : 0;
         econ.violations += small(rng) == 0 ? 1 : 0;
         for (int s = 0; s < small(rng); ++s) {
           econ.fairness.record_ns(ratio_to_sketch_units(0.5));
@@ -129,6 +130,7 @@ TEST(RollingWindowProperty, EconAggregatorObeysTheSameConservationLaw) {
         EXPECT_EQ(folded.second_price_payment_micros,
                   cumulative.second_price_payment_micros);
         EXPECT_EQ(folded.probe_checks, cumulative.probe_checks);
+        EXPECT_EQ(folded.probe_unbounded, cumulative.probe_unbounded);
         EXPECT_EQ(folded.violations, cumulative.violations);
         expect_same_samples(folded.fairness, cumulative.fairness);
         expect_same_samples(folded.overpayment, cumulative.overpayment);

@@ -56,13 +56,14 @@ struct DrivenRound {
   RoundOutcome outcome;
 };
 
-DrivenRound drive_round(std::int64_t round, const LoadGenConfig& load) {
+DrivenRound drive_round(std::int64_t round, const LoadGenConfig& load,
+                        const auction::OnlineGreedyConfig& greedy = {}) {
   const model::Scenario scenario = loadgen_scenario(load, round);
   const std::vector<ServeEvent> events =
       round_events(round, scenario, scenario.truthful_bids());
   DrivenRound driven;
-  driven.machine = std::make_unique<RoundMachine>(
-      events.front(), auction::OnlineGreedyConfig{}, /*capture=*/true);
+  driven.machine =
+      std::make_unique<RoundMachine>(events.front(), greedy, /*capture=*/true);
   for (std::size_t i = 1; i < events.size(); ++i) {
     driven.machine->apply(events[i]);
   }
@@ -114,6 +115,36 @@ TEST(EconSentinel, CleanRoundProducesNoViolations) {
   EXPECT_EQ(snapshot.cumulative.rounds, 1);
   EXPECT_EQ(snapshot.cumulative.probe_rounds, 1);
   EXPECT_GT(snapshot.cumulative.probe_checks, 0);
+}
+
+TEST(EconSentinel, ProbesCountWinnersSkippedAsUnbounded) {
+  // Without a reserve, a scarce round has winners whose critical value is
+  // unbounded: their Theorem 4 check is skipped, and probe_unbounded says
+  // how many. A reserve at the task value bounds every critical value, so
+  // the same round checks every winner. Either way every winner is probed.
+  LoadGenConfig scarce = small_load(1);
+  scarce.workload.phone_arrival_rate = 1.0;  // fewer phones than tasks
+  scarce.workload.task_arrival_rate = 3.0;
+  for (const bool with_reserve : {false, true}) {
+    auction::OnlineGreedyConfig greedy;
+    if (with_reserve) greedy.reserve_price = Money::from_units(50);
+    EconTelemetryConfig config;
+    config.greedy = greedy;
+    config.probe_every = 1;
+    EconTelemetry econ(config);
+    econ.attach(1);
+    DrivenRound driven = drive_round(0, scarce, greedy);
+    econ.observe_round(0, *driven.machine, driven.outcome);
+    const obs::EconCumulative totals = econ.take_snapshot().cumulative;
+    EXPECT_EQ(totals.violations, 0);
+    EXPECT_GT(totals.winners, 0);
+    EXPECT_EQ(totals.probe_checks, totals.winners);
+    if (with_reserve) {
+      EXPECT_EQ(totals.probe_unbounded, 0);
+    } else {
+      EXPECT_GT(totals.probe_unbounded, 0);
+    }
+  }
 }
 
 TEST(EconSentinel, TamperedTotalTripsAccountingInvariant) {
@@ -294,11 +325,13 @@ TEST(EconTelemetry, GoldenEmptySnapshotUnderFakeClock) {
       "\"second_price_payment\":\"0\",\"vcg_payment\":\"0\",\"vcg_rounds\":0,"
       "\"fairness_p50\":null,\"fairness_p95\":null,\"overpayment_p50\":null,"
       "\"overpayment_p95\":null,\"probe_rounds\":0,\"probe_checks\":0,"
-      "\"violations\":0,\"cumulative\":{\"rounds\":0,\"rounds_skipped\":0,"
+      "\"probe_unbounded\":0,\"violations\":0,\"cumulative\":{\"rounds\":0,"
+      "\"rounds_skipped\":0,"
       "\"tasks\":0,\"tasks_allocated\":0,\"winners\":0,\"payment\":\"0\","
       "\"claimed_cost\":\"0\",\"second_price_payment\":\"0\","
       "\"vcg_payment\":\"0\",\"vcg_rounds\":0,\"probe_rounds\":0,"
-      "\"probe_checks\":0,\"violations\":0},\"shards\":[{\"shard\":0,"
+      "\"probe_checks\":0,\"probe_unbounded\":0,\"violations\":0},"
+      "\"shards\":[{\"shard\":0,"
       "\"rounds\":0,\"payment\":\"0\",\"violations\":0}]}\n");
 }
 
@@ -330,12 +363,14 @@ TEST(EconTelemetry, GoldenOneRoundSnapshotUnderFakeClock) {
       "\"second_price_payment\":\"217\",\"vcg_payment\":\"0\","
       "\"vcg_rounds\":0,\"fairness_p50\":0.950272,\"fairness_p95\":0.950272,"
       "\"overpayment_p50\":0.8192,\"overpayment_p95\":0.8192,"
-      "\"probe_rounds\":1,\"probe_checks\":16,\"violations\":0,"
-      "\"cumulative\":{\"rounds\":1,\"rounds_skipped\":0,\"tasks\":16,"
+      "\"probe_rounds\":1,\"probe_checks\":16,\"probe_unbounded\":0,"
+      "\"violations\":0,\"cumulative\":{\"rounds\":1,\"rounds_skipped\":0,"
+      "\"tasks\":16,"
       "\"tasks_allocated\":16,\"winners\":16,\"payment\":\"263\","
       "\"claimed_cost\":\"143\",\"second_price_payment\":\"217\","
       "\"vcg_payment\":\"0\",\"vcg_rounds\":0,\"probe_rounds\":1,"
-      "\"probe_checks\":16,\"violations\":0},\"shards\":[{\"shard\":0,"
+      "\"probe_checks\":16,\"probe_unbounded\":0,\"violations\":0},"
+      "\"shards\":[{\"shard\":0,"
       "\"rounds\":1,\"payment\":\"263\",\"violations\":0}]}\n");
 }
 
@@ -356,6 +391,8 @@ TEST(EconTelemetry, PrometheusRenderingExposesEconGauges) {
   EXPECT_NE(text.find("mcs_serve_econ_violations 0"), std::string::npos)
       << text;
   EXPECT_NE(text.find("mcs_serve_econ_coverage 1"), std::string::npos) << text;
+  EXPECT_NE(text.find("mcs_serve_econ_probe_unbounded 0"), std::string::npos)
+      << text;
   EXPECT_NE(text.find("mcs_serve_econ_shard_1_rounds 0"), std::string::npos)
       << text;
   // Empty-window quantiles are NaN and must be skipped, not emitted.

@@ -44,6 +44,7 @@
 #include "analysis/rationality.hpp"
 #include "analysis/trace_report.hpp"
 #include "analysis/truthfulness.hpp"
+#include "auction/mechanism.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "io/cli.hpp"
@@ -176,7 +177,6 @@ analysis::RunSpec spec_from_cli(const io::CliParser& cli) {
   spec.mechanism = cli.get_string("mechanism");
   spec.reserve = cli.get_double("reserve");
   spec.profitable_only = cli.get_switch("profitable-only");
-  spec.batch = cli.get_int("batch");
   return spec;
 }
 
@@ -238,11 +238,9 @@ int cmd_generate(int argc, const char* const* argv) {
 int cmd_run(int argc, const char* const* argv) {
   io::CliParser cli("Runs a mechanism on a scenario file (truthful bids).");
   cli.add_string("file", "scenario.mcs", "scenario file");
-  cli.add_string("mechanism", "online",
-                 "online | offline | second-price | batched");
+  cli.add_string("mechanism", "online", "online | offline | second-price");
   cli.add_double("reserve", 0.0, "online reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
-  cli.add_int("batch", 5, "batch size for --mechanism batched");
   cli.add_switch("allocation", "also print the per-task allocation");
   cli.add_string("json", "", "also write a machine-readable round report");
   cli.add_string("events-out", "",
@@ -276,7 +274,7 @@ int cmd_run(int argc, const char* const* argv) {
       scenario = model::load_scenario(cli.get_string("file"));
     }
     const analysis::RunSpec spec = spec_from_cli(cli);
-    mechanism = analysis::make_mechanism(spec);
+    mechanism = auction::make_mechanism(spec.mechanism, spec.greedy());
     {
       const obs::TraceSpan intake_span("cli.bid_intake");
       bids = scenario.truthful_bids();
@@ -338,15 +336,15 @@ int cmd_audit(int argc, const char* const* argv) {
       "Runs the truthfulness and individual-rationality audits on a "
       "scenario file.");
   cli.add_string("file", "scenario.mcs", "scenario file");
-  cli.add_string("mechanism", "online",
-                 "online | offline | second-price | batched");
+  cli.add_string("mechanism", "online", "online | offline | second-price");
   cli.add_double("reserve", 0.0, "online reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
-  cli.add_int("batch", 5, "batch size for --mechanism batched");
   if (!cli.parse(argc, argv)) return 0;
 
   const model::Scenario scenario = model::load_scenario(cli.get_string("file"));
-  const auto mechanism = analysis::make_mechanism(spec_from_cli(cli));
+  const analysis::RunSpec spec = spec_from_cli(cli);
+  const auto mechanism =
+      auction::make_mechanism(spec.mechanism, spec.greedy());
 
   const analysis::TruthfulnessReport truth =
       analysis::audit_truthfulness(*mechanism, scenario);
@@ -732,6 +730,10 @@ int cmd_serve(int argc, const char* const* argv) {
     }
     return run_connect_client(connect_spec, load, wire_format(cli));
   }
+  const std::int64_t want_conns = cli.get_int("listen-conns");
+  if (want_conns < 1) {
+    throw InvalidArgumentError("--listen-conns must be >= 1");
+  }
   const bool use_listen = !listen_spec.empty();
   if (use_listen && !replay_path.empty()) {
     throw InvalidArgumentError(
@@ -887,8 +889,6 @@ int cmd_serve(int argc, const char* const* argv) {
             submit(e);
           });
       server.start();
-      const std::int64_t want_conns =
-          std::max<std::int64_t>(cli.get_int("listen-conns"), 1);
       std::cout << "listening on " << host << ":" << server.port()
                 << ", draining after " << want_conns << " connection(s)\n"
                 << std::flush;
@@ -984,9 +984,14 @@ int cmd_serve(int argc, const char* const* argv) {
             << " reserve-rejected), total paid " << total_paid << '\n';
   if (shed > 0) {
     std::cout << "admission control shed " << shed
-              << " events (policy: " << admission << "); downstream: "
-              << stats.orphaned_events << " orphaned events dropped, "
-              << stats.rounds_corrupted << " rounds abandoned mid-flight\n";
+              << " events (policy: " << admission << ")\n";
+  }
+  if (stats.rounds_corrupted > 0 || stats.rounds_abandoned > 0 ||
+      stats.orphaned_events > 0) {
+    std::cout << "rounds lost: " << stats.rounds_corrupted
+              << " dropped mid-flight, " << stats.rounds_abandoned
+              << " never closed; " << stats.orphaned_events
+              << " orphaned events dropped\n";
   }
   if (seconds > 0.0) {
     std::cout << "sustained "
@@ -1065,8 +1070,7 @@ int cmd_econ_report(int argc, const char* const* argv) {
                  "summarize an mcs.serve_econ.v1 snapshot stream instead of "
                  "simulating");
   cli.add_string("mechanisms", "online,offline,second-price",
-                 "comma-separated list: online | offline | second-price | "
-                 "batched");
+                 "comma-separated list: online | offline | second-price");
   cli.add_int("rounds", 16, "rounds to simulate per mechanism");
   cli.add_int("slots", 20, "loadgen: slots per round (m)");
   cli.add_double("lambda", 4.0, "loadgen: smartphone arrival rate per slot");
@@ -1074,7 +1078,6 @@ int cmd_econ_report(int argc, const char* const* argv) {
   cli.add_int("seed", 42, "loadgen: base RNG seed (round k forks stream k)");
   cli.add_double("reserve", 0.0, "online reserve price (0 = none)");
   cli.add_switch("profitable-only", "skip bids above the task value");
-  cli.add_int("batch", 5, "batch size for the batched mechanism");
   cli.add_string("out", "", "also write the markdown to a file");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -1101,20 +1104,17 @@ int cmd_econ_report(int argc, const char* const* argv) {
           return serve::loadgen_scenario(load, round);
         };
 
+    analysis::RunSpec knobs;
+    knobs.reserve = cli.get_double("reserve");
+    knobs.profitable_only = cli.get_switch("profitable-only");
     std::vector<analysis::MechanismEconSummary> summaries;
     std::string names = cli.get_string("mechanisms");
     std::istringstream split(names);
     for (std::string name; std::getline(split, name, ',');) {
       if (name.empty()) continue;
-      analysis::RunSpec spec;
-      spec.mechanism = name;
-      spec.reserve = cli.get_double("reserve");
-      spec.profitable_only = cli.get_switch("profitable-only");
-      spec.batch = cli.get_int("batch");
-      const std::unique_ptr<auction::Mechanism> mechanism =
-          analysis::make_mechanism(spec);
       summaries.push_back(analysis::summarize_mechanism(
-          *mechanism, generator, cli.get_int("rounds")));
+          *auction::make_mechanism(name, knobs.greedy()), generator,
+          cli.get_int("rounds")));
     }
     if (summaries.empty()) {
       throw InvalidArgumentError("econ-report: no mechanisms selected");
@@ -1194,8 +1194,7 @@ int cmd_arena(int argc, const char* const* argv) {
       "over the canonical shade(1.5)/delay(2) deviations). The leaderboard "
       "is byte-identical across runs and worker-thread counts.");
   cli.add_string("mechanisms", "online,offline,second-price",
-                 "comma-separated: online | offline | second-price | "
-                 "posted(P)");
+                 "comma-separated: online | offline | second-price");
   cli.add_string("policies",
                  "truthful;"
                  "shaded=truthful:3,shade(1.5):1;"

@@ -1,6 +1,7 @@
 # A round whose agent id asks for more memory than the process may have
 # must fail as a stream error (--admission block: exit 1 with "error:") or
-# as a dropped round (--admission reject: exit 0), never abort the process.
+# as a dropped round (--admission reject: exit 0, reported on the console),
+# never abort the process.
 # The address-space cap turns the 8 GiB per-agent table of agent
 # 2147483646 into a std::bad_alloc in the shard worker.
 
@@ -40,5 +41,10 @@ replay_capped(reject out err code)
 if(NOT code EQUAL 0 OR NOT out MATCHES " 0 rounds completed")
   message(FATAL_ERROR "--admission reject: want exit 0 with the round "
                       "dropped, got ${code}:\n${out}\n${err}")
+endif()
+# The console must say that a round was lost, although nothing was shed.
+if(NOT out MATCHES "rounds lost: 1 dropped mid-flight, 0 never closed; [0-9]+ orphaned events dropped")
+  message(FATAL_ERROR "--admission reject: the dropped round is not "
+                      "reported:\n${out}")
 endif()
 file(REMOVE ${STREAM})

@@ -4,8 +4,10 @@
 # 1.8e16 us) nor end in std::terminate, and a threshold too large for
 # nanoseconds must not wrap either. A negative round count or probe rate
 # must not silently serve or probe nothing, and a non-positive stats period
-# must not end in a failed precondition. An endpoint is rejected unless its
-# port is the whole text after the colon.
+# must not end in a failed precondition, and a connection count below 1
+# must not be clamped to 1 (the check runs before any listener starts, so
+# these cases open no socket). An endpoint is rejected unless its port is
+# the whole text after the colon.
 
 # expect_rejected(<stderr regex> <serve args>...)
 function(expect_rejected message)
@@ -38,6 +40,8 @@ expect_rejected("--econ-probe-every must be >= 0"
                 --econ-out ${ECON} --econ-probe-every -1)
 expect_rejected("--stats-period-ms must be >= 1"
                 --stats-out ${STATS} --stats-period-ms -5)
+expect_rejected("--listen-conns must be >= 1" --listen-conns 0)
+expect_rejected("--listen-conns must be >= 1" --listen-conns -2)
 expect_rejected("bad endpoint" --connect 127.0.0.1:1x)
 expect_rejected("bad endpoint" --listen 0x)
 file(REMOVE ${TRACE} ${ECON} ${STATS})

@@ -1,4 +1,4 @@
-# CLI smoke test: generate a small scenario, run both mechanisms on it,
+# CLI smoke test: generate a small scenario, run the three mechanisms on it,
 # audit the online mechanism (must pass -> exit 0) and the second-price
 # baseline is *not* required to pass here (random small rounds may or may
 # not expose its manipulation, so we only require it to execute).
@@ -23,7 +23,7 @@ endif()
 
 run_cli(run --file ${SCENARIO} --mechanism online --allocation)
 run_cli(run --file ${SCENARIO} --mechanism offline)
-run_cli(run --file ${SCENARIO} --mechanism batched --batch 3)
+run_cli(run --file ${SCENARIO} --mechanism second-price)
 run_cli(run --file ${SCENARIO} --mechanism online --reserve 24
         --profitable-only)
 
