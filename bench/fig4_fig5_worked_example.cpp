@@ -1,6 +1,6 @@
 // Figs. 3, 4 and 5: the paper's worked examples, replayed step by step.
 //
-//  * Fig. 3 -- the bipartite graph the offline mechanism builds;
+//  * Fig. 3 -- the bipartite graph of the offline mechanism (Section IV-B);
 //  * Fig. 4 -- the online greedy allocation slot by slot, including the
 //    dynamic pool, plus the Algorithm 2 payment for the paper's phone
 //    (paid exactly 9);
@@ -9,7 +9,6 @@
 //    Algorithm 2.
 #include <iostream>
 
-#include "auction/offline_vcg.hpp"
 #include "auction/online_greedy.hpp"
 #include "auction/second_price.hpp"
 #include "io/cli.hpp"
@@ -23,21 +22,23 @@ void print_fig3() {
   std::cout << "=== Fig. 3: weighted bipartite graph construction ===\n";
   const model::Scenario s = model::fig3_scenario();
   std::cout << model::describe(s) << '\n';
-  const matching::WeightMatrix g =
-      auction::OfflineVcgMechanism::build_graph(s, s.truthful_bids());
+  // Edge (task, phone i) exists iff i's reported window covers the task's
+  // slot, with weight nu - b_i (Section IV-B).
+  const model::BidProfile bids = s.truthful_bids();
   io::TextTable table({"task", "slot", "edges (phone:weight)"});
-  for (int t = 0; t < g.rows(); ++t) {
+  for (int t = 0; t < s.task_count(); ++t) {
+    const Slot slot = s.tasks[static_cast<std::size_t>(t)].slot;
     std::string edges;
-    for (int p = 0; p < g.cols(); ++p) {
-      if (const auto w = g.get(t, p)) {
+    for (int p = 0; p < s.phone_count(); ++p) {
+      const model::Bid& bid = bids[static_cast<std::size_t>(p)];
+      if (bid.window.contains(slot)) {
         if (!edges.empty()) edges += "  ";
-        edges += std::to_string(p + 1) + ':' + w->to_string();
+        edges += std::to_string(p + 1) + ':' +
+                 (s.task_value - bid.claimed_cost).to_string();
       }
     }
     table.add_row({std::to_string(t),
-                   s.tasks[static_cast<std::size_t>(t)].slot.value() == 1
-                       ? "1"
-                       : "2",
+                   slot.value() == 1 ? "1" : "2",
                    edges});
   }
   table.print(std::cout);

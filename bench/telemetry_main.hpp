@@ -13,9 +13,9 @@
 //     each (--benchmark_min_time=0 stops google-benchmark after its first
 //     probe iteration) with a MetricsRegistry installed and console
 //     output suppressed. With the bench workloads seeded, the work
-//     counters recorded by the instrumented library code (Hungarian
-//     iterations, SPFA pops, critical-value probes, ...) are therefore
-//     IDENTICAL run to run and machine to machine -- the deterministic
+//     counters recorded by the instrumented library code (offline-greedy
+//     task scans, counterfactual forks, critical-value probes, ...) are
+//     therefore IDENTICAL run to run and machine to machine -- the deterministic
 //     baseline that `mcs_cli bench-diff` compares exactly.
 //
 // Without the flag only pass 1 runs and nothing else changes.

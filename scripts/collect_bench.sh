@@ -5,12 +5,14 @@
 # `mcs_cli bench-diff` regresses future changes against.
 #
 # Bench discovery: every google-benchmark binary matching
-# $BUILD_DIR/bench/perf_* by glob (currently perf_matching,
-# perf_mechanisms, perf_payments -- Algorithm-2 payments, batch and
-# streaming, on the GreedyRound kernel -- perf_serve, the streaming engine's hot path,
-# and perf_serve_latency, the live-telemetry-plane overhead and latency
-# quantiles), plus the opted-in plain benches listed in OPT_IN_BENCHES
-# (binaries that wire bench/telemetry_scope.hpp).
+# $BUILD_DIR/bench/perf_* by glob (currently perf_arena, the strategic-agent
+# arena; perf_econ, the econ plane; perf_mechanisms, offline VCG and online
+# greedy end to end; perf_payments, Algorithm-2 payments, batch and
+# streaming, on the GreedyRound kernel; perf_serve, the streaming engine's
+# hot path; perf_serve_latency, the live-telemetry-plane overhead and
+# latency quantiles; and perf_trace, the trace plane), plus the opted-in
+# plain benches listed in OPT_IN_BENCHES (binaries that wire
+# bench/telemetry_scope.hpp).
 #
 # The google-benchmark binaries run two passes (bench/telemetry_main.hpp):
 # an adaptive timing pass honouring the extra benchmark args, whose own
@@ -61,8 +63,8 @@ fi
 # Every bench the committed baseline covers must be present: a silently
 # skipped binary would make the merged report lose keys and bench-diff
 # would read the hole as "this bench was deleted", not "the build broke".
-EXPECTED_GBENCHES=(perf_arena perf_econ perf_matching perf_mechanisms
-                   perf_payments perf_serve perf_serve_latency perf_trace)
+EXPECTED_GBENCHES=(perf_arena perf_econ perf_mechanisms perf_payments
+                   perf_serve perf_serve_latency perf_trace)
 for expected in "${EXPECTED_GBENCHES[@]}"; do
   found=0
   for bench in "${GBENCHES[@]}"; do

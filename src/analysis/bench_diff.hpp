@@ -3,7 +3,7 @@
 //
 // The telemetry the benches emit splits cleanly into two kinds of signal:
 //
-//  * Deterministic work counters (Hungarian iterations, SPFA pops,
+//  * Deterministic work counters (offline-greedy task scans,
 //    critical-value probes) and deterministic distribution histograms
 //    (candidate pool sizes). With the bench workloads seeded and the
 //    telemetry pass pinned to one iteration per benchmark, these carry

@@ -5,7 +5,6 @@
 #include "auction/offline_vcg.hpp"
 #include "common/assert.hpp"
 #include "common/error.hpp"
-#include "matching/hungarian.hpp"
 
 namespace mcs::analysis {
 
@@ -19,12 +18,6 @@ void check_scope(const model::Scenario& scenario, const model::BidProfile& bids,
         "price can bar OPT's phones from the pool, voiding the case "
         "analysis)");
   }
-  if (scenario.has_weighted_tasks()) {
-    throw InvalidArgumentError(
-        "charging certificate requires a uniform task value (Theorem 6 "
-        "fails for weighted tasks; see ChargingTest.WeightedValuesBreak"
-        "Theorem6)");
-  }
   for (const model::Bid& bid : bids) {
     if (bid.claimed_cost > scenario.task_value) {
       throw InvalidArgumentError(
@@ -32,6 +25,18 @@ void check_scope(const model::Scenario& scenario, const model::BidProfile& bids,
           "(nonnegative edge weights)");
     }
   }
+}
+
+/// Claimed welfare of an allocation: nu - b_i summed over its edges.
+Money claimed_welfare(const model::Scenario& scenario,
+                      const model::BidProfile& bids,
+                      const auction::Allocation& allocation) {
+  Money welfare;
+  for (const PhoneId phone : allocation.winners()) {
+    welfare += scenario.task_value -
+               bids[static_cast<std::size_t>(phone.value())].claimed_cost;
+  }
+  return welfare;
 }
 
 }  // namespace
@@ -45,27 +50,18 @@ ChargingCertificate build_half_competitive_certificate(
 
   const auction::GreedyRun greedy =
       auction::run_greedy_allocation(scenario, bids, config);
-  const matching::WeightMatrix graph =
-      auction::OfflineVcgMechanism::build_graph(scenario, bids);
-  matching::MaxWeightMatcher matcher(graph);
-  const matching::Matching& opt = matcher.solve();
+  const auction::Allocation opt =
+      auction::OfflineVcgMechanism().run(scenario, bids).allocation;
 
   ChargingCertificate certificate;
-  certificate.optimal_welfare = matcher.total_weight();
-  Money greedy_welfare;
-  for (int t = 0; t < scenario.task_count(); ++t) {
-    if (const auto phone = greedy.allocation.phone_for(TaskId{t})) {
-      greedy_welfare +=
-          scenario.task_value -
-          bids[static_cast<std::size_t>(phone->value())].claimed_cost;
-    }
-  }
-  certificate.greedy_welfare = greedy_welfare;
+  certificate.optimal_welfare = claimed_welfare(scenario, bids, opt);
+  certificate.greedy_welfare =
+      claimed_welfare(scenario, bids, greedy.allocation);
 
   for (int t = 0; t < scenario.task_count(); ++t) {
-    const auto opt_col = opt.row_to_col[static_cast<std::size_t>(t)];
-    if (!opt_col) continue;  // task unserved by OPT: nothing to charge
-    const PhoneId p{*opt_col};
+    const auto opt_phone = opt.phone_for(TaskId{t});
+    if (!opt_phone) continue;  // task unserved by OPT: nothing to charge
+    const PhoneId p = *opt_phone;
     Charge charge;
     charge.opt_task = TaskId{t};
     charge.opt_phone = p;
@@ -107,12 +103,11 @@ void verify_half_competitive_certificate(
   // trusted to describe them.
   const auction::GreedyRun greedy =
       auction::run_greedy_allocation(scenario, bids, config);
-  const matching::WeightMatrix graph =
-      auction::OfflineVcgMechanism::build_graph(scenario, bids);
-  matching::MaxWeightMatcher matcher(graph);
-  const matching::Matching& opt = matcher.solve();
+  const auction::Allocation opt =
+      auction::OfflineVcgMechanism().run(scenario, bids).allocation;
 
-  MCS_ASSERT(certificate.optimal_welfare == matcher.total_weight(),
+  MCS_ASSERT(certificate.optimal_welfare ==
+                 claimed_welfare(scenario, bids, opt),
              "certificate misstates the optimal welfare");
 
   const auto cost_of = [&](PhoneId phone) {
@@ -138,8 +133,7 @@ void verify_half_competitive_certificate(
     opt_edge_charged[t] = 1;
 
     // The OPT edge must exist as claimed.
-    const auto opt_col = opt.row_to_col[t];
-    MCS_ASSERT(opt_col && PhoneId{*opt_col} == charge.opt_phone,
+    MCS_ASSERT(opt.phone_for(charge.opt_task) == charge.opt_phone,
                "charge misstates the OPT edge");
     const Money opt_weight = scenario.task_value - cost_of(charge.opt_phone);
     MCS_ASSERT(!opt_weight.is_negative(), "OPT edge weight negative");
@@ -179,7 +173,7 @@ void verify_half_competitive_certificate(
 
   // Completeness: every OPT edge was charged.
   for (int t = 0; t < scenario.task_count(); ++t) {
-    if (opt.row_to_col[static_cast<std::size_t>(t)]) {
+    if (opt.phone_for(TaskId{t})) {
       MCS_ASSERT(opt_edge_charged[static_cast<std::size_t>(t)],
                  "an OPT edge was never charged");
     }

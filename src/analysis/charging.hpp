@@ -21,11 +21,10 @@
 // verify_... re-checks every one of these claims from scratch and throws
 // on the first violation -- a proof checker, not a trust-me flag.
 //
-// The preconditions are real: with per-task values the bound genuinely
-// fails (a cheap phone grabbed by a worthless early task can block a
-// priceless later one -- see ChargingTest.WeightedValuesBreakTheorem6),
-// which is why the builder rejects weighted instances instead of
-// pretending.
+// OPT is the offline mechanism's own allocation (auction/offline_vcg).
+// The preconditions are real: a reserve price can bar OPT's phones from
+// greedy's pool, and a claimed cost above nu makes an edge weight
+// negative, so the builder rejects both instead of pretending.
 #pragma once
 
 #include <vector>
@@ -57,8 +56,8 @@ struct ChargingCertificate {
 };
 
 /// Builds the certificate. Throws InvalidArgumentError when the instance is
-/// outside the theorem's scope: weighted tasks, or a claimed cost above the
-/// task value. (The construction itself asserts the proof's case analysis;
+/// outside the theorem's scope: a reserve price, or a claimed cost above
+/// the task value. (The construction itself asserts the proof's case analysis;
 /// an assertion failure would mean the theorem -- or this library -- is
 /// wrong.)
 [[nodiscard]] ChargingCertificate build_half_competitive_certificate(

@@ -16,7 +16,7 @@ CompetitiveResult competitive_ratio(const model::Scenario& scenario,
   Money online;
   for (int t = 0; t < scenario.task_count(); ++t) {
     if (const auto phone = run.allocation.phone_for(TaskId{t})) {
-      online += scenario.value_of(TaskId{t}) -
+      online += scenario.task_value -
                 bids[static_cast<std::size_t>(phone->value())].claimed_cost;
     }
   }

@@ -21,7 +21,7 @@ namespace mcs::analysis {
 
 struct CompetitiveResult {
   Money online_welfare;   ///< claimed welfare of the greedy allocation
-  Money offline_welfare;  ///< optimal claimed welfare (Hungarian)
+  Money offline_welfare;  ///< optimal claimed welfare (offline VCG)
   double ratio{1.0};      ///< online / offline; 1 when offline welfare is 0
 };
 

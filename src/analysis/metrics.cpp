@@ -28,13 +28,8 @@ RoundMetrics compute_metrics(const model::Scenario& scenario,
   metrics.tasks_allocated = outcome.allocation.allocated_count();
   metrics.completion_rate =
       obs::coverage_rate(metrics.tasks_allocated, metrics.tasks_total);
-  Money allocated_value;
-  for (int t = 0; t < outcome.allocation.task_count(); ++t) {
-    if (outcome.allocation.phone_for(TaskId{t})) {
-      allocated_value += scenario.value_of(TaskId{t});
-    }
-  }
-  metrics.platform_utility = allocated_value - metrics.total_payment;
+  metrics.platform_utility =
+      scenario.task_value * metrics.tasks_allocated - metrics.total_payment;
   std::vector<Money> winner_payments;
   for (const PhoneId winner : outcome.allocation.winners()) {
     winner_payments.push_back(

@@ -44,7 +44,7 @@ void write_round_report_json(std::ostream& os, const model::Scenario& scenario,
     json.begin_object();
     json.field("task", static_cast<std::int64_t>(task.id.value()));
     json.field("slot", static_cast<std::int64_t>(task.slot.value()));
-    json.field("value", scenario.value_of(task.id).to_string());
+    json.field("value", scenario.task_value.to_string());
     if (const auto phone = outcome.allocation.phone_for(task.id)) {
       json.field("phone", static_cast<std::int64_t>(phone->value()));
       json.field("payment",

@@ -122,7 +122,7 @@ model::Bid BestResponsePolicy::report(const model::TrueProfile& profile,
 model::Bid BestResponsePolicy::respond(
     const auction::CounterfactualEngine& engine, PhoneId self) const {
   const model::Bid base = engine.bids()[static_cast<std::size_t>(self.value())];
-  const auto probe = engine.critical_value_of(self);
+  const auto probe = engine.probe_critical_value(self);
   if (!probe.winnable || !probe.critical.has_value()) {
     // Unwinnable: no claim wins, stay truthful. Unbounded (scarcity): the
     // mechanism already pays the scarcity cap regardless of the claim

@@ -6,7 +6,7 @@
 // arrival-delay manipulation, early departure); the best-responder is
 // adaptive: after every agent's base report is fixed, it probes its own
 // greedy critical value through auction::CounterfactualEngine::
-// critical_value_of -- the same read-only seam the flight recorder's
+// probe_critical_value -- the same read-only seam the flight recorder's
 // explain path uses -- and shades its claimed cost to just below that
 // threshold. Against the paper's truthful mechanisms the probe is provably
 // futile (payment equals the critical value no matter the bid); against

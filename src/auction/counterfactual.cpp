@@ -36,7 +36,7 @@ bool CounterfactualEngine::wins_with_cost(PhoneId phone, Money cost) const {
 }
 
 CounterfactualEngine::CriticalValueProbe CounterfactualEngine::
-    critical_value_of(PhoneId phone) const {
+    probe_critical_value(PhoneId phone) const {
   CriticalValueProbe probe;
   probe.winnable = wins_with_cost(phone, Money{});
   if (!probe.winnable) return probe;

@@ -40,7 +40,7 @@ class CounterfactualEngine {
   /// with_bid(bids, phone, {window, cost}).
   [[nodiscard]] bool wins_with_cost(PhoneId phone, Money cost) const;
 
-  /// Result of a public critical-value probe (critical_value_of).
+  /// Result of a public critical-value probe (probe_critical_value).
   struct CriticalValueProbe {
     /// Whether the phone wins at claimed cost 0 (all other bids fixed).
     /// When false there is no winning claim at all and `critical` is empty.
@@ -57,7 +57,7 @@ class CounterfactualEngine {
   /// without duplicating the bisection. Delegates to
   /// greedy_critical_value(*this, phone) after screening out unwinnable
   /// phones (which the bisection preconditions away). Thread-safe.
-  [[nodiscard]] CriticalValueProbe critical_value_of(PhoneId phone) const;
+  [[nodiscard]] CriticalValueProbe probe_critical_value(PhoneId phone) const;
 
   [[nodiscard]] const model::Scenario& scenario() const { return scenario_; }
   [[nodiscard]] const model::BidProfile& bids() const { return bids_; }

@@ -89,7 +89,7 @@ std::optional<Money> bisect_critical_value(const WinsWithCost& wins,
 
 namespace {
 
-/// Probe range: the highest task value plus the highest claimed cost
+/// Probe range: the task value plus the highest claimed cost
 /// exceeds any bounded critical value of the greedy rule, except that a
 /// scarce winner is paid the reserve price when one is set, so the range
 /// reaches one micro above the reserve (where every bid loses). Saturating:
@@ -104,12 +104,9 @@ Money probe_upper_bound(const model::Scenario& scenario,
   for (const model::Bid& bid : bids) {
     max_cost = std::max(max_cost, bid.claimed_cost);
   }
-  Money max_value = scenario.task_value;
-  for (const model::Task& task : scenario.tasks) {
-    max_value = std::max(max_value, scenario.value_of(task.id));
-  }
   const Money bound = Money::saturating_add(
-      Money::saturating_add(max_value, max_cost), Money::from_units(1));
+      Money::saturating_add(scenario.task_value, max_cost),
+      Money::from_units(1));
   if (!config.reserve_price) return bound;
   return std::max(bound, Money::saturating_add(*config.reserve_price,
                                                Money::from_micros(1)));

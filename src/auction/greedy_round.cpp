@@ -42,8 +42,10 @@ void GreedyPayment::log(Slot at) const {
   });
 }
 
-GreedyRound::GreedyRound(Slot::rep_type num_slots, OnlineGreedyConfig config)
+GreedyRound::GreedyRound(Slot::rep_type num_slots, Money task_value,
+                         OnlineGreedyConfig config)
     : config_(config),
+      task_value_(task_value),
       horizon_(num_slots),
       bids_end_(static_cast<std::size_t>(num_slots) + 1, 0),
       tasks_end_(static_cast<std::size_t>(num_slots) + 1, 0) {
@@ -56,12 +58,12 @@ GreedyRound::GreedyRound(Slot::rep_type num_slots, OnlineGreedyConfig config)
 GreedyRound::GreedyRound(const model::Scenario& scenario,
                          const model::BidProfile& bids,
                          OnlineGreedyConfig config)
-    : GreedyRound(scenario.num_slots, config) {
+    : GreedyRound(scenario.num_slots, scenario.task_value, config) {
   scenario.validate();  // tasks sorted by slot with dense ids
   model::validate_bids(scenario, bids);
 
+  task_count_ = scenario.task_count();
   for (const model::Task& task : scenario.tasks) {
-    tasks_.push_back(SlotTask{task.id, scenario.value_of(task.id)});
     ++tasks_end_[static_cast<std::size_t>(task.slot.value())];
   }
   // Admission (and its events) in phone-id order; the pool order is then
@@ -85,11 +87,11 @@ GreedyRound::GreedyRound(const model::Scenario& scenario,
   for (std::size_t k = 0; k < bids_.size(); ++k) index_bid(k);
 }
 
-void GreedyRound::announce_task(Money value) {
+void GreedyRound::announce_task() {
   MCS_EXPECTS(!finished(), "round is over");
-  tasks_.push_back(SlotTask{TaskId{task_count()}, value});
+  ++task_count_;
   tasks_end_[static_cast<std::size_t>(current_)] =
-      static_cast<std::uint32_t>(tasks_.size());
+      static_cast<std::uint32_t>(task_count_);
 }
 
 bool GreedyRound::submit_bid(PhoneId phone, const model::Bid& bid) {
@@ -153,13 +155,13 @@ const GreedyRound::Admitted& GreedyRound::admitted(PhoneId phone) const {
   return bids_[static_cast<std::size_t>(bid_of_phone_[slot])];
 }
 
-Money GreedyRound::scarce_cap(Money task_value) const {
-  // Without the phone this task has no winner: its threshold is the
-  // reserve price if set (bids above it never enter), else the task's
-  // value as the documented cap (DESIGN.md Section 5).
-  if (!config_.reserve_price) return task_value;
+Money GreedyRound::scarce_cap() const {
+  // Without the phone a task has no winner: its threshold is the reserve
+  // price if set (bids above it never enter), else the task value as the
+  // documented cap (DESIGN.md Section 5).
+  if (!config_.reserve_price) return task_value_;
   return config_.allocate_only_profitable
-             ? std::min(*config_.reserve_price, task_value)
+             ? std::min(*config_.reserve_price, task_value_)
              : *config_.reserve_price;
 }
 
@@ -200,12 +202,12 @@ void GreedyRound::allocate_slot(Slot::rep_type t, std::vector<PoolBid>& pool,
   const auto t_index = static_cast<std::size_t>(t);
   std::size_t next = 0;  // pool[0, next) won this slot
   for (std::size_t k = tasks_end_[t_index - 1]; k < tasks_end_[t_index]; ++k) {
-    const SlotTask& task = tasks_[k];
+    const TaskId task{static_cast<int>(k)};
     if (next == pool.size()) {
       obs::log_event([&] {
         obs::Event event("task_unserved");
         event.slot = static_cast<std::int32_t>(t);
-        event.task = task.id.value();
+        event.task = task.value();
         event.with("reason", std::string("pool_empty"));
         return event;
       });
@@ -214,17 +216,17 @@ void GreedyRound::allocate_slot(Slot::rep_type t, std::vector<PoolBid>& pool,
     }
     const PoolBid& chosen = pool[next];
     if (config_.allocate_only_profitable &&
-        Money::from_micros(chosen.cost_micros) > task.value) {
-      // The cheapest remaining bid already exceeds this task's value, so
-      // no profitable assignment exists; the phone stays in the pool.
+        Money::from_micros(chosen.cost_micros) > task_value_) {
+      // The cheapest remaining bid already exceeds the task value, so no
+      // profitable assignment exists; the phone stays in the pool.
       obs::log_event([&] {
         obs::Event event("task_unserved");
         event.slot = static_cast<std::int32_t>(t);
-        event.task = task.id.value();
+        event.task = task.value();
         event.with("reason", std::string("unprofitable"))
             .with("cheapest_bid", Money::from_micros(chosen.cost_micros))
             .with("cheapest_phone", static_cast<std::int64_t>(chosen.phone))
-            .with("task_value", task.value);
+            .with("task_value", task_value_);
         return event;
       });
       out.unserved.push_back(task);
@@ -233,10 +235,10 @@ void GreedyRound::allocate_slot(Slot::rep_type t, std::vector<PoolBid>& pool,
     obs::log_event([&] {
       obs::Event event("task_assigned");
       event.slot = static_cast<std::int32_t>(t);
-      event.task = task.id.value();
+      event.task = task.value();
       event.phone = chosen.phone;
       event.with("bid", Money::from_micros(chosen.cost_micros))
-          .with("task_value", task.value);
+          .with("task_value", task_value_);
       // The runner-up bid documents how close the decision was; absent
       // when the pool emptied.
       if (next + 1 < pool.size()) {
@@ -247,7 +249,7 @@ void GreedyRound::allocate_slot(Slot::rep_type t, std::vector<PoolBid>& pool,
       }
       return event;
     });
-    out.assigned.emplace_back(task.id, chosen);
+    out.assigned.emplace_back(task, chosen);
     ++next;
   }
   pool.erase(pool.begin(),
@@ -262,12 +264,6 @@ const GreedyRound::SlotResult& GreedyRound::advance(
   // Slots without admissions inherit the running counts.
   bids_end_[t_index] = std::max(bids_end_[t_index], bids_end_[t_index - 1]);
   tasks_end_[t_index] = std::max(tasks_end_[t_index], tasks_end_[t_index - 1]);
-  // With weighted tasks, serve high-value tasks first so a dry pool
-  // starves only the least valuable ones (uniform nu: plain id order).
-  std::stable_sort(
-      tasks_.begin() + static_cast<std::ptrdiff_t>(tasks_end_[t_index - 1]),
-      tasks_.begin() + static_cast<std::ptrdiff_t>(tasks_end_[t_index]),
-      [](const SlotTask& a, const SlotTask& b) { return a.value > b.value; });
 
   pool_insertions_ += bids_end_[t_index] - bids_end_[t_index - 1];
   enter_slot(t, pool_);
@@ -373,10 +369,9 @@ GreedyPayment GreedyRound::payment(PhoneId winner) const {
            own.arrival, std::min(own.departs, current_ - 1), nullptr,
            [&](Slot::rep_type t, const SlotResult& slot) {
              if (t < own.win_slot) return true;
-             for (const SlotTask& task : slot.unserved) {
+             if (!slot.unserved.empty()) {
                payment.scarce = true;
-               payment.scarce_cap =
-                   std::max(payment.scarce_cap, scarce_cap(task.value));
+               payment.scarce_cap = scarce_cap();
              }
              if (!slot.assigned.empty()) {
                // Line 6: the r_t-th (dearest) winner of the slot.

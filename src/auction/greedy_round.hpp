@@ -75,8 +75,10 @@ struct GreedyPayment {
 
 class GreedyRound {
  public:
-  /// An empty round of `num_slots` slots, fed by announce_task/submit_bid.
-  GreedyRound(Slot::rep_type num_slots, OnlineGreedyConfig config);
+  /// An empty round of `num_slots` slots whose tasks are each worth
+  /// `task_value` (nu), fed by announce_task/submit_bid.
+  GreedyRound(Slot::rep_type num_slots, Money task_value,
+              OnlineGreedyConfig config);
 
   /// A whole scenario admitted up front: every task, and every bid in
   /// phone-id order.
@@ -88,22 +90,15 @@ class GreedyRound {
   [[nodiscard]] Slot::rep_type horizon() const { return horizon_; }
   [[nodiscard]] bool finished() const { return current_ > horizon_; }
   [[nodiscard]] const OnlineGreedyConfig& config() const { return config_; }
-  [[nodiscard]] int task_count() const {
-    return static_cast<int>(tasks_.size());
-  }
+  [[nodiscard]] int task_count() const { return task_count_; }
 
-  /// A task worth `value` arrives in the current slot; its id is the
-  /// number of tasks announced before it.
-  void announce_task(Money value);
+  /// A task arrives in the current slot; its id is the number of tasks
+  /// announced before it.
+  void announce_task();
 
   /// A phone bids in the slot it joins (its reported arrival must be the
   /// current slot). Returns false when the platform reserve turns it away.
   bool submit_bid(PhoneId phone, const model::Bid& bid);
-
-  struct SlotTask {
-    TaskId id;
-    Money value;
-  };
 
   /// What one slot of Algorithm 1 decided.
   struct SlotResult {
@@ -111,7 +106,7 @@ class GreedyRound {
     /// Assignments in allocation order (cheapest bid first).
     std::vector<std::pair<TaskId, PoolBid>> assigned;
     /// Tasks left unserved (dry pool, or no profitable bid).
-    std::vector<SlotTask> unserved;
+    std::vector<TaskId> unserved;
   };
 
   /// Runs Algorithm 1 on the current slot and moves to the next one. When
@@ -147,13 +142,13 @@ class GreedyRound {
   [[nodiscard]] bool admit(PhoneId phone, const model::Bid& bid) const;
   void index_bid(std::size_t position);
   [[nodiscard]] const Admitted& admitted(PhoneId phone) const;
-  [[nodiscard]] Money scarce_cap(Money task_value) const;
+  [[nodiscard]] Money scarce_cap() const;
 
   /// Algorithm 1 line 3: drops bids departed before `t` and pools the
   /// bids arriving in `t`.
   void enter_slot(Slot::rep_type t, std::vector<PoolBid>& pool) const;
-  /// Algorithm 1 lines 5-8: the slot's tasks, highest value first, go to
-  /// the cheapest pooled bids.
+  /// Algorithm 1 lines 5-8: the slot's tasks, in id order, go to the
+  /// cheapest pooled bids.
   void allocate_slot(Slot::rep_type t, std::vector<PoolBid>& pool,
                      SlotResult& out) const;
   /// The pool at the start of slot `fork` (arrivals of `fork` included),
@@ -172,6 +167,7 @@ class GreedyRound {
   void publish_stats() const;
 
   OnlineGreedyConfig config_;
+  Money task_value_;  ///< nu, the value of every task of the round
   Slot::rep_type horizon_;
   Slot::rep_type current_{1};
 
@@ -181,9 +177,9 @@ class GreedyRound {
   std::vector<std::uint32_t> bids_end_;
   std::vector<int> bid_of_phone_;  ///< phone id -> bids_ index, -1 = none
   Slot::rep_type max_span_{0};     ///< longest reported d~ - a~ admitted
-  /// Tasks in arrival-slot order, each slot's highest value first once it
-  /// is advanced; tasks_end_[t] is the number arriving in slots <= t.
-  std::vector<SlotTask> tasks_;
+  /// Task ids follow arrival-slot order; tasks_end_[t] is the number
+  /// arriving in slots <= t.
+  int task_count_{0};
   std::vector<std::uint32_t> tasks_end_;
 
   std::vector<PoolBid> pool_;  ///< the factual dynamic pool

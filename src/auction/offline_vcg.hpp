@@ -1,58 +1,43 @@
 // The offline optimal truthful mechanism (paper Section IV).
 //
-// Winning-bids determination: build the task x phone bipartite graph of
-// Fig. 3 (edge weight nu - b_i when phone i's reported window covers the
-// task's slot) and take a maximum-weight matching -- optimal social welfare
-// in O((n + gamma)^3) (Theorem 3). Payments are VCG (Eq. 7):
+// Winning-bids determination: the optimal allocation is a maximum-weight
+// matching on the task x phone graph of Fig. 3, where phone i may serve a
+// task in its reported window with weight nu - b_i (Theorem 3). With one
+// task value nu, the sets of phones that can be matched to distinct tasks
+// form a transversal matroid and a phone's weight depends on the phone
+// alone, so the optimum is the matroid greedy: take the phones with
+// b_i <= nu in (claimed cost, phone id) order, and add each one when an
+// augmenting path over the current phone -> task matching finds it a task.
+// Phones with b_i = nu (weight 0) are kept.
+//
+// Payments are VCG (Eq. 7):
 //
 //    p_i = omega*(B) + b_i - omega*(B_{-i})   for winners,   0 for losers,
 //
-// where omega* is the optimal *claimed* welfare. With the optimal
-// allocation this is truthful in all three dimensions (Theorem 1) and
-// individually rational (Theorem 2).
-//
-// omega*(B_{-i}) is obtained from the matcher's incremental column-removal
-// query (one augmenting path per winner) instead of a full re-solve; set
-// OfflineVcgConfig::naive_marginals to force full re-solves (used by tests
-// to cross-validate the incremental path and by the ablation bench to
-// measure the speedup).
+// where omega* is the optimal *claimed* welfare. By basis exchange,
+// omega*(B_{-i}) = omega*(B) - (nu - b_i) + max(0, nu - b_j), where j is the
+// cheapest non-winner that can replace i (an alternating path from j
+// reaches i's task), so p_i = min(nu, b_j), or nu when no phone can replace
+// i. One alternating-path pass over the non-winners in (cost, id) order
+// finds every j. With the optimal allocation this is truthful in all three
+// dimensions (Theorem 1) and individually rational (Theorem 2).
 #pragma once
 
 #include "auction/mechanism.hpp"
-#include "matching/bipartite_graph.hpp"
 
 namespace mcs::auction {
 
-struct OfflineVcgConfig {
-  /// Recompute each omega*(B_{-i}) with a fresh full solve instead of the
-  /// incremental dual query. Same results, cubically slower.
-  bool naive_marginals = false;
-};
-
 class OfflineVcgMechanism final : public Mechanism {
  public:
-  OfflineVcgMechanism() = default;
-  explicit OfflineVcgMechanism(OfflineVcgConfig config) : config_(config) {}
-
   [[nodiscard]] Outcome run(const model::Scenario& scenario,
                             const model::BidProfile& bids) const override;
 
   [[nodiscard]] std::string name() const override { return "offline-vcg"; }
 
-  /// The Section IV-B graph construction, exposed for tests (the Fig. 3
-  /// example asserts the exact edge set): rows are tasks in scenario order,
-  /// columns are phones, edge weight nu - b_i iff the reported window of
-  /// phone i contains the task's slot.
-  [[nodiscard]] static matching::WeightMatrix build_graph(
-      const model::Scenario& scenario, const model::BidProfile& bids);
-
   /// Optimal claimed welfare omega*(B) of the instance -- the offline
   /// benchmark value used by the competitive-ratio analysis (Theorem 6).
   [[nodiscard]] static Money optimal_claimed_welfare(
       const model::Scenario& scenario, const model::BidProfile& bids);
-
- private:
-  OfflineVcgConfig config_;
 };
 
 }  // namespace mcs::auction

@@ -22,9 +22,7 @@ GreedyRun run_greedy_allocation(const model::Scenario& scenario,
       run.allocation.assign(task, PhoneId{bid.phone});
       record.winners.push_back(PhoneId{bid.phone});
     }
-    for (const GreedyRound::SlotTask& task : slot.unserved) {
-      record.unserved.push_back(task.id);
-    }
+    record.unserved = slot.unserved;
     record.unallocated_tasks = static_cast<int>(record.unserved.size());
     run.slots.push_back(std::move(record));
   }

@@ -60,9 +60,8 @@ struct GreedySlotRecord {
   /// Winners this slot in allocation order (cheapest first).
   std::vector<PhoneId> winners;
   /// Tasks of this slot left unserved (pool ran dry, or -- under
-  /// allocate_only_profitable -- no remaining bid at or below the task's
-  /// value). With weighted tasks the highest-value tasks are served first,
-  /// so the unserved ones are the least valuable of the slot.
+  /// allocate_only_profitable -- no remaining bid at or below the task
+  /// value).
   std::vector<TaskId> unserved;
   /// Convenience: unserved.size().
   int unallocated_tasks{0};

@@ -84,7 +84,7 @@ Money Outcome::social_welfare(const model::Scenario& scenario) const {
   Money welfare;
   for (int t = 0; t < allocation.task_count(); ++t) {
     if (const auto phone = allocation.phone_for(TaskId{t})) {
-      welfare += scenario.value_of(TaskId{t}) - scenario.phone(*phone).cost;
+      welfare += scenario.task_value - scenario.phone(*phone).cost;
     }
   }
   return welfare;
@@ -95,7 +95,7 @@ Money Outcome::claimed_welfare(const model::Scenario& scenario,
   Money welfare;
   for (int t = 0; t < allocation.task_count(); ++t) {
     if (const auto phone = allocation.phone_for(TaskId{t})) {
-      welfare += scenario.value_of(TaskId{t}) -
+      welfare += scenario.task_value -
                  bids[static_cast<std::size_t>(phone->value())].claimed_cost;
     }
   }

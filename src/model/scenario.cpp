@@ -1,31 +1,41 @@
 #include "model/scenario.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
 
 namespace mcs::model {
 
+namespace {
+
+/// A round's payment, cost and welfare totals each add at most one amount
+/// per task, none above max(nu, the dearest cost). Refuses the round when
+/// task_count times that amount leaves the Money envelope.
+void check_money_envelope(const Scenario& scenario, Money dearest_cost,
+                          const char* cost_kind) {
+  const Money largest = std::max(scenario.task_value, dearest_cost);
+  std::int64_t total = 0;
+  if (__builtin_mul_overflow(largest.micros(),
+                             static_cast<std::int64_t>(scenario.task_count()),
+                             &total) ||
+      total > Money::max().micros()) {
+    throw InvalidScenarioError(
+        std::string("round totals overflow: ") +
+        std::to_string(scenario.task_count()) + " tasks x max(nu, " +
+        cost_kind + ") exceeds Money::max()");
+  }
+}
+
+}  // namespace
+
 const TrueProfile& Scenario::phone(PhoneId id) const {
   MCS_EXPECTS(id.value() >= 0 && id.value() < phone_count(),
               "PhoneId out of range");
   return phones[static_cast<std::size_t>(id.value())];
-}
-
-Money Scenario::value_of(TaskId task) const {
-  MCS_EXPECTS(task.value() >= 0 && task.value() < task_count(),
-              "TaskId out of range");
-  const Task& t = tasks[static_cast<std::size_t>(task.value())];
-  return t.value.value_or(task_value);
-}
-
-bool Scenario::has_weighted_tasks() const {
-  for (const Task& task : tasks) {
-    if (task.value) return true;
-  }
-  return false;
 }
 
 std::vector<int> Scenario::tasks_per_slot() const {
@@ -63,10 +73,8 @@ void Scenario::validate() const {
       throw InvalidScenarioError("tasks must be sorted by arrival slot");
     }
     previous_slot = task.slot;
-    if (task.value && (task.value->is_negative() || *task.value >= Money::max())) {
-      throw InvalidScenarioError("per-task value out of range");
-    }
   }
+  Money dearest_cost;
   for (const TrueProfile& profile : phones) {
     if (profile.active.begin().value() < 1 ||
         profile.active.end().value() > num_slots) {
@@ -75,7 +83,9 @@ void Scenario::validate() const {
     if (profile.cost.is_negative() || profile.cost >= Money::max()) {
       throw InvalidScenarioError("phone cost out of range");
     }
+    dearest_cost = std::max(dearest_cost, profile.cost);
   }
+  check_money_envelope(*this, dearest_cost, "true cost");
 }
 
 ScenarioBuilder::ScenarioBuilder(Slot::rep_type num_slots) {
@@ -105,15 +115,8 @@ ScenarioBuilder& ScenarioBuilder::phone(SlotInterval active, Money cost) {
 }
 
 ScenarioBuilder& ScenarioBuilder::task(Slot::rep_type slot) {
-  scenario_.tasks.push_back(Task{
-      TaskId{static_cast<int>(scenario_.tasks.size())}, Slot{slot}, {}});
-  return *this;
-}
-
-ScenarioBuilder& ScenarioBuilder::valued_task(Slot::rep_type slot,
-                                              std::int64_t value_units) {
-  scenario_.tasks.push_back(Task{TaskId{static_cast<int>(scenario_.tasks.size())},
-                                 Slot{slot}, Money::from_units(value_units)});
+  scenario_.tasks.push_back(
+      Task{TaskId{static_cast<int>(scenario_.tasks.size())}, Slot{slot}});
   return *this;
 }
 
@@ -148,6 +151,7 @@ void validate_bids(const Scenario& scenario, const BidProfile& bids) {
   if (bids.size() != scenario.phones.size()) {
     throw InvalidScenarioError("bid profile size differs from phone count");
   }
+  Money dearest_claim;
   for (const Bid& bid : bids) {
     if (bid.window.begin().value() < 1 ||
         bid.window.end().value() > scenario.num_slots) {
@@ -156,7 +160,9 @@ void validate_bids(const Scenario& scenario, const BidProfile& bids) {
     if (bid.claimed_cost.is_negative() || bid.claimed_cost >= Money::max()) {
       throw InvalidScenarioError("claimed cost out of range");
     }
+    dearest_claim = std::max(dearest_claim, bid.claimed_cost);
   }
+  check_money_envelope(scenario, dearest_claim, "claimed cost");
 }
 
 std::string describe(const Scenario& scenario) {

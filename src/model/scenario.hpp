@@ -35,13 +35,6 @@ struct Scenario {
 
   [[nodiscard]] const TrueProfile& phone(PhoneId id) const;
 
-  /// Value the platform gains from completing `task`: its per-task
-  /// override when set (weighted-query extension), else the scenario nu.
-  [[nodiscard]] Money value_of(TaskId task) const;
-
-  /// True when any task carries a per-task value override.
-  [[nodiscard]] bool has_weighted_tasks() const;
-
   /// r_t for t = 1..m (index 0 unused), the paper's task-arrival vector R.
   [[nodiscard]] std::vector<int> tasks_per_slot() const;
 
@@ -50,7 +43,9 @@ struct Scenario {
 
   /// Throws InvalidScenarioError unless: m >= 1; every task's slot is in
   /// [1, m]; task ids are dense and sorted by slot; every phone's active
-  /// window lies in [1, m]; every cost is nonnegative and below Money::max.
+  /// window lies in [1, m]; every cost is nonnegative and below Money::max;
+  /// and task_count * max(nu, the dearest true cost) fits in Money::max,
+  /// so that every payment, cost and welfare total of the round does.
   void validate() const;
 };
 
@@ -72,10 +67,6 @@ class ScenarioBuilder {
   /// Adds one task arriving in `slot` (worth the scenario-wide nu).
   ScenarioBuilder& task(Slot::rep_type slot);
 
-  /// Adds one task arriving in `slot` with its own value (weighted-query
-  /// extension).
-  ScenarioBuilder& valued_task(Slot::rep_type slot, std::int64_t value_units);
-
   /// Adds `count` tasks arriving in `slot`.
   ScenarioBuilder& tasks(Slot::rep_type slot, int count);
 
@@ -90,7 +81,8 @@ class ScenarioBuilder {
 [[nodiscard]] BidProfile with_bid(BidProfile bids, PhoneId id, Bid replacement);
 
 /// Validates a bid profile against a scenario: one bid per phone, windows
-/// within [1, m], costs in range. Does NOT require reports to be legal
+/// within [1, m], costs in range, and task_count * max(nu, the dearest
+/// claimed cost) within Money::max. Does NOT require reports to be legal
 /// w.r.t. the private profiles -- strategic misreports are the point -- but
 /// a window outside the round or a negative cost is malformed input.
 void validate_bids(const Scenario& scenario, const BidProfile& bids);

@@ -61,9 +61,7 @@ void write_scenario(std::ostream& os, const Scenario& scenario) {
        << phone.cost << '\n';
   }
   for (const Task& task : scenario.tasks) {
-    os << "task " << task.slot;
-    if (task.value) os << " value " << *task.value;
-    os << '\n';
+    os << "task " << task.slot << '\n';
   }
 }
 
@@ -111,17 +109,16 @@ Scenario read_scenario(std::istream& is) {
           TrueProfile{SlotInterval::of(begin, end),
                       parse_money(tokens[3], line_number, "phone cost")});
     } else if (keyword == "task") {
-      if (tokens.size() != 2 && !(tokens.size() == 4 && tokens[2] == "value")) {
-        parse_error(line_number, "task takes: slot [value <amount>]");
+      if (tokens.size() > 2 && tokens[2] == "value") {
+        parse_error(line_number,
+                    "per-task values are not supported (every task is "
+                    "worth the scenario value)");
       }
-      Task task{TaskId{static_cast<int>(scenario.tasks.size())},
-                Slot{static_cast<Slot::rep_type>(
-                    parse_int(tokens[1], line_number, "task slot"))},
-                {}};
-      if (tokens.size() == 4) {
-        task.value = parse_money(tokens[3], line_number, "task value");
-      }
-      scenario.tasks.push_back(task);
+      if (tokens.size() != 2) parse_error(line_number, "task takes: slot");
+      scenario.tasks.push_back(
+          Task{TaskId{static_cast<int>(scenario.tasks.size())},
+               Slot{static_cast<Slot::rep_type>(
+                   parse_int(tokens[1], line_number, "task slot"))}});
     } else {
       parse_error(line_number, "unknown keyword '" + keyword + "'");
     }

@@ -9,8 +9,7 @@
 //   slots 5
 //   value 20            # scenario-wide nu
 //   phone 2 5 3         # begin end cost      (one line per smartphone)
-//   task 1              # arrival slot
-//   task 3 value 30     # weighted task (per-task value override)
+//   task 1              # arrival slot (every task is worth nu)
 //
 // Money fields use the Money::to_string decimal format. Reading validates
 // the result (Scenario::validate), so a loaded scenario carries the same

@@ -1,17 +1,12 @@
 // Sensing tasks (paper Section III-A).
 //
 // A task tau_{j,k} arrives in slot j, takes one slot to complete, and is
-// worth a fixed value to the platform when completed. The paper uses one
-// scenario-wide value nu; as an extension this library also supports
-// *weighted sensing queries* -- a per-task value override -- which the
-// paper's introduction motivates (diverse queries) but its evaluation does
-// not exercise. A task with no override is worth the scenario's nu.
+// worth the scenario-wide value nu to the platform when completed.
 #pragma once
 
-#include <optional>
+#include <cstdint>
 #include <ostream>
 
-#include "common/money.hpp"
 #include "common/types.hpp"
 
 namespace mcs::model {
@@ -19,16 +14,15 @@ namespace mcs::model {
 struct Task {
   TaskId id;   ///< dense index within the scenario (0-based)
   Slot slot;   ///< arrival slot j (1-based)
-  /// Per-task value override; nullopt = the scenario-wide nu.
-  std::optional<Money> value;
+  /// Unused: keeps the size the task had with a per-task value; see
+  /// serve::ServeEvent::reserved_.
+  std::int64_t reserved_[2]{};
 
   friend bool operator==(const Task&, const Task&) = default;
 };
 
 inline std::ostream& operator<<(std::ostream& os, const Task& task) {
-  os << "Task{id=" << task.id << ", slot=" << task.slot;
-  if (task.value) os << ", value=" << *task.value;
-  return os << '}';
+  return os << "Task{id=" << task.id << ", slot=" << task.slot << '}';
 }
 
 }  // namespace mcs::model

@@ -137,7 +137,7 @@ Scenario generate_scenario(const WorkloadConfig& config, Rng& rng) {
                     : PoissonSampler(config.task_rate_at(t)).sample(rng);
     for (std::int64_t k = 0; k < tasks; ++k) {
       scenario.tasks.push_back(
-          Task{TaskId{static_cast<int>(scenario.tasks.size())}, Slot{t}, {}});
+          Task{TaskId{static_cast<int>(scenario.tasks.size())}, Slot{t}});
     }
   }
 

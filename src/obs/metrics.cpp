@@ -126,12 +126,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 // -------------------------------------------------- headline counter set
 
 void preregister_headline_counters(MetricsRegistry& registry) {
-  registry.counter("matching.hungarian.iterations",
-                   "do-while relabel rounds inside the Hungarian augment_row");
-  registry.counter("matching.hungarian.augmenting_paths",
-                   "augmenting paths found by the Hungarian solver");
-  registry.counter("matching.flow.augmenting_paths",
-                   "SPFA augmentations in the min-cost-flow matcher");
+  registry.counter("auction.offline_vcg.augmenting_paths",
+                   "phones the offline greedy added to its matching");
+  registry.counter("auction.offline_vcg.tasks_scanned",
+                   "task-range entries the offline greedy and its "
+                   "replacement search examined");
   registry.counter("auction.critical_value.probes",
                    "wins(b)? evaluations during critical-value search");
   registry.counter("auction.greedy.allocation_runs",

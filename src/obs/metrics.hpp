@@ -7,7 +7,8 @@
 //  1. Zero cost when disabled. Nothing is recorded unless a registry has
 //     been installed for the current thread (ScopedRegistry); the fast path
 //     of every helper is one thread-local load and a branch, so hot loops
-//     (Hungarian relabels, SPFA pops) can instrument unconditionally.
+//     (pool insertions, counterfactual slots) can instrument
+//     unconditionally.
 //  2. Deterministic parallel reduction. Each arena worker and each serve
 //     shard records into its own registry; merge() is associative and
 //     commutative for counters and histograms (sums), so the reduced
@@ -18,7 +19,7 @@
 //     are safe for concurrent recording.
 //
 // Naming convention (docs/observability.md): dot-separated lowercase
-// "<layer>.<component>.<what>", e.g. "matching.hungarian.iterations".
+// "<layer>.<component>.<what>", e.g. "auction.greedy.allocation_runs".
 #pragma once
 
 #include <atomic>

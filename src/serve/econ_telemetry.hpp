@@ -73,8 +73,9 @@ struct EconTelemetryConfig {
   obs::EventLog* events = nullptr;
 };
 
-/// The offline VCG reference prices only small rounds (its matching is
-/// cubic): at most this many phones and this many tasks.
+/// The offline VCG reference prices only small rounds: at most this many
+/// phones and this many tasks. (The cap dates from the cubic Hungarian
+/// matcher; lifting it changes the work the econ plane does per round.)
 inline constexpr int kVcgMaxPhones = 12;
 inline constexpr int kVcgMaxTasks = 12;
 

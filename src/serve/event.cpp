@@ -75,14 +75,12 @@ ServeEvent round_open(std::int64_t round, Slot::rep_type num_slots,
   return event;
 }
 
-ServeEvent task_arrived(std::int64_t round, Slot slot, TaskId task,
-                        std::optional<Money> value) {
+ServeEvent task_arrived(std::int64_t round, Slot slot, TaskId task) {
   ServeEvent event;
   event.kind = ServeEventKind::kTaskArrived;
   event.round = round;
   event.slot = slot;
   event.task = task;
-  event.task_value = value;
   return event;
 }
 
@@ -138,9 +136,6 @@ void write_serve_event(std::ostream& os, const ServeEvent& event) {
     case ServeEventKind::kTaskArrived:
       writer.field("slot", static_cast<std::int64_t>(event.slot.value()));
       writer.field("task", static_cast<std::int64_t>(event.task.value()));
-      if (event.task_value) {
-        writer.field("value", event.task_value->to_string());
-      }
       break;
     case ServeEventKind::kBidSubmitted:
       writer.field("agent", static_cast<std::int64_t>(event.agent.value()));
@@ -182,9 +177,10 @@ ServeEvent decode_serve_event(const io::JsonValue& line) {
     const Slot slot{to_slot_rep(require_int(line, "slot", 1))};
     const TaskId task{
         static_cast<TaskId::rep_type>(require_int(line, "task", 0))};
-    std::optional<Money> value;
-    if (line.find("value") != nullptr) value = require_money(line, "value");
-    return task_arrived(round, slot, task, value);
+    if (line.find("value") != nullptr) {
+      bad_event(std::string(kPerTaskValueRefusal));
+    }
+    return task_arrived(round, slot, task);
   }
   if (ev == "bid_submitted") {
     const PhoneId agent{

@@ -31,7 +31,7 @@ std::vector<ServeEvent> round_events(std::int64_t round,
     while (task_cursor < scenario.tasks.size() &&
            scenario.tasks[task_cursor].slot.value() == t) {
       const model::Task& task = scenario.tasks[task_cursor];
-      events.push_back(task_arrived(round, Slot{t}, task.id, task.value));
+      events.push_back(task_arrived(round, Slot{t}, task.id));
       ++task_cursor;
     }
     for (std::size_t i = 0; i < bids.size(); ++i) {

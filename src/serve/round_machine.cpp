@@ -35,7 +35,7 @@ const ServeEvent& checked_open(const ServeEvent& open) {
 RoundMachine::RoundMachine(const ServeEvent& open,
                            auction::OnlineGreedyConfig config, bool capture)
     : round_(open.round),
-      auction_(checked_open(open).num_slots, config),
+      auction_(checked_open(open).num_slots, open.round_value, config),
       capture_(capture),
       round_value_(open.round_value) {
   outcome_.round = round_;
@@ -72,11 +72,11 @@ bool RoundMachine::apply(const ServeEvent& event) {
       if (event.task.value() != auction_.task_count()) {
         stream_error(round_, "task ids must be dense and increasing");
       }
-      auction_.announce_task(event.task_value.value_or(round_value_));
+      auction_.announce_task();
       ++outcome_.tasks_announced;
       if (capture_) {
         captured_tasks_.push_back(
-            model::Task{event.task, event.slot, event.task_value});
+            model::Task{event.task, event.slot});
       }
       return false;
 

@@ -79,6 +79,8 @@ enum : std::uint8_t {
 // Exact payload sizes (u8 kind + fields); the decoder requires equality.
 constexpr std::size_t kRoundOpenBytes = 1 + 8 + 4 + 8;
 constexpr std::size_t kTaskArrivedBytes = 1 + 8 + 4 + 4 + 1;
+/// The retired per-task value layout (flag byte 1 plus i64 value micros):
+/// still recognised, so that it is refused with kPerTaskValueRefusal.
 constexpr std::size_t kTaskArrivedValueBytes = kTaskArrivedBytes + 8;
 constexpr std::size_t kBidSubmittedBytes = 1 + 8 + 4 + 4 + 4 + 8;
 constexpr std::size_t kSlotTickBytes = 1 + 8 + 4;
@@ -116,7 +118,7 @@ void append_wire_frame(std::string& out, const ServeEvent& event) {
       kind = kKindRoundOpen;
       break;
     case ServeEventKind::kTaskArrived:
-      payload = event.task_value ? kTaskArrivedValueBytes : kTaskArrivedBytes;
+      payload = kTaskArrivedBytes;
       kind = kKindTaskArrived;
       break;
     case ServeEventKind::kBidSubmitted:
@@ -144,8 +146,7 @@ void append_wire_frame(std::string& out, const ServeEvent& event) {
     case ServeEventKind::kTaskArrived:
       put_i32(out, event.slot.value());
       put_i32(out, event.task.value());
-      out.push_back(event.task_value ? '\1' : '\0');
-      if (event.task_value) put_i64(out, event.task_value->micros());
+      out.push_back('\0');  // reserved flag byte
       break;
     case ServeEventKind::kBidSubmitted:
       put_i32(out, event.agent.value());
@@ -221,16 +222,13 @@ std::optional<DecodedFrame> decode_wire_frame(std::string_view bytes) {
       const std::int32_t task = get_i32(p + 13);
       if (slot < 1) bad_frame("slot out of domain");
       if (task < 0) bad_frame("task out of domain");
-      const char has_value = p[17];
-      if (has_value != '\0' && has_value != '\1') {
-        bad_frame("invalid has_value flag");
+      const char flag = p[17];
+      if (flag == '\1' && length == kTaskArrivedValueBytes) {
+        bad_frame(std::string(kPerTaskValueRefusal));
       }
-      if ((has_value == '\1') != (length == kTaskArrivedValueBytes)) {
-        bad_frame("has_value flag contradicts the frame length");
-      }
-      std::optional<Money> value;
-      if (has_value == '\1') value = money_field(get_i64(p + 18), "value");
-      decoded.event = task_arrived(round, Slot{slot}, TaskId{task}, value);
+      if (flag != '\0') bad_frame("reserved flag byte must be zero");
+      expect_length(kTaskArrivedBytes);
+      decoded.event = task_arrived(round, Slot{slot}, TaskId{task});
       return decoded;
     }
     case kKindBidSubmitted: {

@@ -20,8 +20,7 @@
 //                      u8 kind, fixed fields per kind (all LE)
 //
 //   kind 0 round_open     i64 round  i32 slots  i64 value_micros      (21)
-//   kind 1 task_arrived   i64 round  i32 slot   i32 task  u8 has_value
-//                         [i64 value_micros when has_value=1]    (18 | 26)
+//   kind 1 task_arrived   i64 round  i32 slot   i32 task  u8 flag=0    (18)
 //   kind 2 bid_submitted  i64 round  i32 agent  i32 from  i32 to
 //                         i64 cost_micros                            (29)
 //   kind 3 slot_tick      i64 round  i32 slot                        (13)
@@ -31,6 +30,9 @@
 // untrusted input on the serving hot path):
 //   * the magic and version are mandatory; an unknown version is rejected,
 //     never "best-effort" decoded, and v1 requires flags == 0;
+//   * task_arrived's flag byte is reserved and must be zero; a 26-byte
+//     frame with flag 1 (the retired per-task value layout) is refused
+//     with kPerTaskValueRefusal, as JSONL refuses a "value" field;
 //   * a frame's length must equal its kind's exact layout size -- trailing
 //     bytes inside a frame, unknown kinds, and lengths beyond
 //     kMaxWireFrameBytes are all rejected (no silent skipping: a payment

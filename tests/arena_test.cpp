@@ -77,7 +77,7 @@ TEST(ArenaPolicy, BestResponderShadesToJustBelowItsCriticalValue) {
                                              auction::OnlineGreedyConfig{});
   const PhoneId self{1};
 
-  const auto probe = engine.critical_value_of(self);
+  const auto probe = engine.probe_critical_value(self);
   ASSERT_TRUE(probe.winnable);
   ASSERT_TRUE(probe.critical.has_value());
   ASSERT_GT(*probe.critical, bids[1].claimed_cost);

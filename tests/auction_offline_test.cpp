@@ -1,7 +1,8 @@
 // Tests for the offline VCG mechanism (paper Section IV): graph
 // construction (Fig. 3), allocation optimality against the brute-force
-// oracle, hand-computed VCG payments on the Fig. 4 instance, equality of
-// incremental and naive marginal computations, and the Theorem 1/2 audits.
+// oracle, the (cost, id) tie rule, hand-computed VCG payments on the
+// Fig. 4 instance, and the Theorem 1/2 audits. offline_equivalence_test
+// compares the mechanism with the Hungarian oracle at scale.
 //
 // Hand computation used below (fig4_scenario, nu = 20): the unique cheapest
 // feasible set of 5 winners is phones {0, 1, 4, 5, 6} with claimed costs
@@ -17,6 +18,7 @@
 #include "analysis/truthfulness.hpp"
 #include "common/rng.hpp"
 #include "support/brute_force.hpp"
+#include "support/hungarian.hpp"
 #include "model/paper_examples.hpp"
 #include "model/strategy.hpp"
 #include "model/workload.hpp"
@@ -31,7 +33,7 @@ Money mu(std::int64_t units) { return Money::from_units(units); }
 TEST(OfflineGraph, Fig3EdgesFollowActivity) {
   const model::Scenario s = model::fig3_scenario();
   const matching::WeightMatrix g =
-      OfflineVcgMechanism::build_graph(s, s.truthful_bids());
+      matching::offline_graph(s, s.truthful_bids());
   ASSERT_EQ(g.rows(), 5);  // tasks
   ASSERT_EQ(g.cols(), 4);  // phones
   // Phone 0 is active in both slots: edges to all five tasks.
@@ -55,7 +57,7 @@ TEST(OfflineGraph, WeightIsValueMinusClaimedCost) {
       model::ScenarioBuilder(2).value(10).phone(1, 2, 3).task(1).build();
   model::BidProfile bids = s.truthful_bids();
   bids[0].claimed_cost = mu(7);  // misreport; graph must use the claim
-  const matching::WeightMatrix g = OfflineVcgMechanism::build_graph(s, bids);
+  const matching::WeightMatrix g = matching::offline_graph(s, bids);
   EXPECT_EQ(g.weight(0, 0), mu(3));
 }
 
@@ -123,8 +125,8 @@ TEST(OfflineVcg, OptimalityAgainstOracleOnRandomInstances) {
     const model::BidProfile bids = s.truthful_bids();
 
     const Outcome outcome = OfflineVcgMechanism{}.run(s, bids);
-    const matching::Matching oracle = matching::brute_force_max_weight(
-        OfflineVcgMechanism::build_graph(s, bids));
+    const matching::Matching oracle =
+        matching::brute_force_max_weight(matching::offline_graph(s, bids));
     ASSERT_EQ(outcome.claimed_welfare(s, bids), oracle.total_weight)
         << "trial " << trial;
   }
@@ -182,28 +184,37 @@ TEST(OfflineVcg, DuopolyPaysSecondPrice) {
   EXPECT_EQ(outcome.payments[1], Money{});
 }
 
-TEST(OfflineVcg, NaiveAndIncrementalMarginalsAgree) {
-  Rng rng(909);
-  const OfflineVcgMechanism fast;
-  const OfflineVcgMechanism naive(OfflineVcgConfig{.naive_marginals = true});
-  for (int trial = 0; trial < 25; ++trial) {
-    model::ScenarioBuilder builder(5);
-    builder.value(25);
-    const int phones = static_cast<int>(rng.uniform_int(2, 10));
-    for (int i = 0; i < phones; ++i) {
-      const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, 5));
-      const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, 5));
-      builder.phone(a, d, rng.uniform_int(1, 24));
-    }
-    const int tasks = static_cast<int>(rng.uniform_int(1, 7));
-    for (int k = 0; k < tasks; ++k) {
-      builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 5)));
-    }
-    const model::Scenario s = builder.build();
-    const Outcome a = fast.run_truthful(s);
-    const Outcome b = naive.run_truthful(s);
-    ASSERT_EQ(a.payments, b.payments) << "trial " << trial;
-  }
+TEST(OfflineVcg, EqualCostTiesGoToTheLowerPhoneId) {
+  // The greedy takes phones in (claimed cost, phone id) order, so among
+  // equal claims the lower id wins, wherever its window lies; the loser
+  // sets the winner's payment at their shared cost.
+  const model::Scenario one_task = model::ScenarioBuilder(2)
+                                       .value(10)
+                                       .phone(1, 2, 5)
+                                       .phone(2, 2, 5)
+                                       .phone(2, 2, 5)
+                                       .task(2)
+                                       .build();
+  const Outcome a = OfflineVcgMechanism{}.run_truthful(one_task);
+  EXPECT_EQ(a.allocation.winners(), std::vector<PhoneId>{PhoneId{0}});
+  EXPECT_EQ(a.payments, (std::vector<Money>{mu(5), Money{}, Money{}}));
+
+  // Two tasks, three equal claims: phones 0 and 1 win although phone 2
+  // could serve either slot; both are paid phone 2's claim.
+  const model::Scenario two_tasks = model::ScenarioBuilder(2)
+                                        .value(10)
+                                        .phone(2, 2, 4)
+                                        .phone(1, 1, 4)
+                                        .phone(1, 2, 4)
+                                        .task(1)
+                                        .task(2)
+                                        .build();
+  const Outcome b = OfflineVcgMechanism{}.run_truthful(two_tasks);
+  EXPECT_EQ(b.allocation.winners(),
+            (std::vector<PhoneId>{PhoneId{0}, PhoneId{1}}));
+  EXPECT_EQ(b.payments, (std::vector<Money>{mu(4), mu(4), Money{}}));
+  EXPECT_EQ(b.allocation.phone_for(TaskId{0}), PhoneId{1});
+  EXPECT_EQ(b.allocation.phone_for(TaskId{1}), PhoneId{0});
 }
 
 // ------------------------------------------------------- theorem audits

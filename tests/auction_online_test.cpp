@@ -284,11 +284,8 @@ TEST(OnlineGreedy, CriticalValueSearchReachesAReserveAboveEveryBid) {
 TEST(OnlineGreedy, ReserveComposesWithProfitableOnly) {
   // Reserve 12, profitable-only on, task worth 9: eligibility needs
   // b <= min(12, 9) = 9, and the scarce payment caps there too.
-  const model::Scenario s = model::ScenarioBuilder(1)
-                                .value(20)
-                                .valued_task(1, 9)
-                                .phone(1, 1, 5)
-                                .build();
+  const model::Scenario s =
+      model::ScenarioBuilder(1).value(9).task(1).phone(1, 1, 5).build();
   OnlineGreedyConfig config;
   config.reserve_price = mu(12);
   config.allocate_only_profitable = true;

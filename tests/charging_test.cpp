@@ -1,8 +1,7 @@
 // Tests for the mechanized Theorem 6 proof: certificates build and verify
 // on the paper instance, the tight adversarial family, and hundreds of
 // randomized instances; the verifier rejects tampered certificates; and
-// the preconditions are shown to be necessary (weighted values genuinely
-// break the bound).
+// the preconditions are enforced.
 #include "analysis/charging.hpp"
 
 #include <gtest/gtest.h>
@@ -109,23 +108,6 @@ TEST(Charging, VerifierRejectsTamperedCertificates) {
     EXPECT_THROW(verify_half_competitive_certificate(bad, s, bids),
                  ContractViolation);
   }
-}
-
-TEST(Charging, WeightedValuesBreakTheorem6) {
-  // A worthless early task burns the only phone; a priceless later task
-  // starves. Greedy-by-cost earns 1 of 100 -- far below 1/2 -- which is
-  // exactly why the certificate refuses weighted instances.
-  const model::Scenario s = model::ScenarioBuilder(2)
-                                .value(50)
-                                .valued_task(1, 1)
-                                .valued_task(2, 100)
-                                .phone(1, 2, 0)
-                                .build();
-  const model::BidProfile bids = s.truthful_bids();
-  const CompetitiveResult result = competitive_ratio(s, bids);
-  EXPECT_DOUBLE_EQ(result.ratio, 1.0 / 100.0);
-  EXPECT_THROW(std::ignore = build_half_competitive_certificate(s, bids),
-               InvalidArgumentError);
 }
 
 TEST(Charging, PreconditionsAreEnforced) {

@@ -11,6 +11,7 @@
 #include "auction/second_price.hpp"
 #include "common/rng.hpp"
 #include "support/brute_force.hpp"
+#include "support/hungarian.hpp"
 #include "model/workload.hpp"
 
 namespace mcs {
@@ -107,7 +108,7 @@ TEST(Pipeline, OfflineOptimalityAgainstOracleOnGeneratedRounds) {
     const Money optimal =
         auction::OfflineVcgMechanism::optimal_claimed_welfare(scenario, bids);
     const matching::Matching oracle = matching::brute_force_max_weight(
-        auction::OfflineVcgMechanism::build_graph(scenario, bids));
+        matching::offline_graph(scenario, bids));
     EXPECT_EQ(optimal, oracle.total_weight) << "trial " << trial;
   }
 }

@@ -133,6 +133,17 @@ TEST(Scenario, ValidateBidsCatchesMalformedProfiles) {
   EXPECT_THROW(validate_bids(s, out_of_round), InvalidScenarioError);
 }
 
+TEST(Scenario, ValidateBidsRefusesClaimsWhoseTotalsOverflowMoney) {
+  // Five tasks: one claim of Money::max() / 4 fits the round's totals,
+  // five times it does not.
+  const Scenario s = ScenarioBuilder(1).value(10).tasks(1, 5).phone(1, 1, 3).build();
+  BidProfile bids = s.truthful_bids();
+  bids[0].claimed_cost = Money::from_micros(Money::max().micros() / 5);
+  EXPECT_NO_THROW(validate_bids(s, bids));
+  bids[0].claimed_cost = Money::from_micros(Money::max().micros() / 4);
+  EXPECT_THROW(validate_bids(s, bids), InvalidScenarioError);
+}
+
 TEST(Scenario, DescribeMentionsKeyFacts) {
   const std::string text = describe(fig4_scenario());
   EXPECT_NE(text.find("m=5"), std::string::npos);

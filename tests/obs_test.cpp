@@ -549,8 +549,8 @@ TEST(PreregisterHeadlineCounters, StableKeySetWithHelp) {
   preregister_headline_counters(registry);
   const MetricsSnapshot snap = registry.snapshot();
   for (const char* name :
-       {"matching.hungarian.iterations", "matching.hungarian.augmenting_paths",
-        "matching.flow.augmenting_paths", "auction.critical_value.probes",
+       {"auction.offline_vcg.augmenting_paths",
+        "auction.offline_vcg.tasks_scanned", "auction.critical_value.probes",
         "auction.greedy.allocation_runs",
         "auction.counterfactual.payment_forks",
         "auction.counterfactual.probe_forks",

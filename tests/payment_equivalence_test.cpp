@@ -5,7 +5,7 @@
 // *Money-equal* payments to re-running Algorithm 1 from slot 1 without the
 // winner (the tests-side reference oracle, support/reference_greedy), on
 // every configuration corner -- reserve prices, profitable-only
-// allocation, weighted tasks, supply scarcity -- and the probe forks must
+// allocation, supply scarcity -- and the probe forks must
 // agree with full re-runs too.
 #include "auction/counterfactual.hpp"
 
@@ -55,8 +55,8 @@ bool reference_wins(const Scenario& scenario, const model::BidProfile& bids,
 // ------------------------------------------------ fast == naive property
 
 TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayAcrossConfigCorners) {
-  // 4 config families x 2 supply regimes x 20 scenarios = 160 cases,
-  // plus 32 weighted-task cases below: every payment Money-equal.
+  // 4 config families x 2 supply regimes x 20 scenarios = 160 cases:
+  // every payment Money-equal.
   Rng rng(20260807);
   for (const auto& [name, config] : config_families()) {
     for (int i = 0; i < 20; ++i) {
@@ -66,17 +66,6 @@ TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayAcrossConfigCorners) {
       const Scenario free = test_support::scarcity_free(rng);
       expect_engines_agree(free, free.truthful_bids(), config,
                            name + "/scarcity_free#" + std::to_string(i));
-    }
-  }
-}
-
-TEST(PaymentEquivalence, SharedPrefixEqualsFullReplayOnWeightedTasks) {
-  Rng rng(424242);
-  for (const auto& [name, config] : config_families()) {
-    for (int i = 0; i < 8; ++i) {
-      const Scenario scenario = test_support::weighted_tasks(rng);
-      expect_engines_agree(scenario, scenario.truthful_bids(), config,
-                           name + "/weighted#" + std::to_string(i));
     }
   }
 }
@@ -136,12 +125,9 @@ std::optional<Money> full_rerun_critical_value(const Scenario& scenario,
   for (const model::Bid& bid : bids) {
     max_cost = std::max(max_cost, bid.claimed_cost);
   }
-  Money max_value = scenario.task_value;
-  for (const model::Task& task : scenario.tasks) {
-    max_value = std::max(max_value, scenario.value_of(task.id));
-  }
   Money upper_bound = Money::saturating_add(
-      Money::saturating_add(max_value, max_cost), Money::from_units(1));
+      Money::saturating_add(scenario.task_value, max_cost),
+      Money::from_units(1));
   if (config.reserve_price) {
     // Every bid above the reserve loses.
     upper_bound =
@@ -191,7 +177,7 @@ TEST(PaymentEquivalence, FastPaymentsEqualBisectedCriticalValues) {
 }
 
 TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
-  // critical_value_of is the read-only seam strategic-agent code uses: it
+  // probe_critical_value is the read-only seam strategic-agent code uses: it
   // must agree with greedy_critical_value on winnable phones, classify
   // unwinnable phones instead of tripping the bisection's precondition,
   // and bracket the win/lose boundary it reports.
@@ -205,7 +191,7 @@ TEST(PaymentEquivalence, PublicCriticalValueProbeMatchesTheBisection) {
     const CounterfactualEngine engine(scenario, bids, config);
     for (int p = 0; p < scenario.phone_count(); ++p) {
       const PhoneId phone{p};
-      const auto probe = engine.critical_value_of(phone);
+      const auto probe = engine.probe_critical_value(phone);
       EXPECT_EQ(probe.winnable, engine.wins_with_cost(phone, Money{}))
           << "scenario#" << i << " phone " << p;
       if (!probe.winnable) {

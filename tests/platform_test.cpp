@@ -1,7 +1,7 @@
 // Tests for the deployable platform: a serve::RoundMachine fed one round's
 // event stream (serve::round_events). Protocol-level behavior -- payment
 // timing at reported departure, the stream checks on untrusted input --
-// and equivalence with the batch OnlineGreedyMechanism on weighted tasks
+// and equivalence with the batch OnlineGreedyMechanism on random windows
 // and misreports, plus the truthfulness audit run through the streaming
 // path itself.
 #include <gtest/gtest.h>
@@ -233,7 +233,7 @@ TEST(Platform, UnservedTaskExpires) {
 
 // ------------------------------------------------------------ equivalence
 
-TEST(Platform, EquivalenceOnWeightedTasks) {
+TEST(Platform, EquivalenceOnRandomWindows) {
   Rng rng(88);
   model::ScenarioBuilder builder(6);
   builder.value(25);
@@ -243,8 +243,7 @@ TEST(Platform, EquivalenceOnWeightedTasks) {
     builder.phone(a, d, rng.uniform_int(1, 20));
   }
   for (int k = 0; k < 6; ++k) {
-    builder.valued_task(static_cast<Slot::rep_type>(rng.uniform_int(1, 6)),
-                        rng.uniform_int(10, 60));
+    builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, 6)));
   }
   const model::Scenario scenario = builder.build();
   const model::BidProfile bids = scenario.truthful_bids();

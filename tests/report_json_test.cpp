@@ -54,18 +54,16 @@ TEST(ReportJson, FractionalMoneyStaysExact) {
   EXPECT_NE(json.find(R"("claimed_cost":"4.25")"), std::string::npos);
 }
 
-TEST(ReportJson, WeightedTaskValuesAppearPerTask) {
-  const model::Scenario s = model::ScenarioBuilder(1)
-                                .value(10)
-                                .valued_task(1, 35)
-                                .phone(1, 1, 4)
-                                .build();
+TEST(ReportJson, TaskValueAppearsPerTask) {
+  const model::Scenario s =
+      model::ScenarioBuilder(1).value(35).task(1).phone(1, 1, 4).build();
   const model::BidProfile bids = s.truthful_bids();
   const auction::Outcome outcome =
       auction::OnlineGreedyMechanism{}.run(s, bids);
   const std::string json = round_report_json(s, bids, outcome, "x");
-  EXPECT_NE(json.find(R"("value":"35")"), std::string::npos);
-  EXPECT_NE(json.find(R"("task_value":"10")"), std::string::npos);
+  EXPECT_NE(json.find(R"("task":0,"slot":1,"value":"35")"),
+            std::string::npos);
+  EXPECT_NE(json.find(R"("task_value":"35")"), std::string::npos);
 }
 
 TEST(ReportJson, BalancedBracesAndBrackets) {

@@ -101,13 +101,9 @@ TEST(ScenarioIo, RoundTripsFig4Exactly) {
   }
 }
 
-TEST(ScenarioIo, RoundTripsWeightedTasksAndFractionalCosts) {
-  Scenario original = ScenarioBuilder(3)
-                          .value(20)
-                          .valued_task(2, 35)
-                          .task(1)
-                          .phone(1, 3, 4)
-                          .build();
+TEST(ScenarioIo, RoundTripsFractionalCosts) {
+  Scenario original =
+      ScenarioBuilder(3).value(20).task(2).task(1).phone(1, 3, 4).build();
   original.phones[0].cost = Money::from_micros(4'250'000);  // 4.25
   original.validate();
 
@@ -115,8 +111,30 @@ TEST(ScenarioIo, RoundTripsWeightedTasksAndFractionalCosts) {
   write_scenario(buffer, original);
   const Scenario loaded = read_scenario(buffer);
   EXPECT_EQ(loaded.phones[0].cost, Money::from_micros(4'250'000));
-  EXPECT_EQ(loaded.value_of(TaskId{1}), mu(35));  // slot-2 task sorted second
-  EXPECT_EQ(loaded.value_of(TaskId{0}), mu(20));
+  EXPECT_EQ(loaded.task_value, mu(20));
+  EXPECT_EQ(loaded.tasks[1].slot, Slot{2});  // slot-2 task sorted second
+}
+
+TEST(ScenarioIo, RefusesRoundsWhoseMoneyTotalsOverflow) {
+  // Six tasks worth 2e12 each: the round's payment and cost totals would
+  // pass Money::max() (about 2.3e12 units) and wrap negative.
+  std::string text =
+      "mcs-scenario v1\nslots 1\nvalue 2000000000000\n";
+  for (int k = 0; k < 6; ++k) text += "task 1\nphone 1 1 2000000000000\n";
+  std::istringstream input(text);
+  try {
+    std::ignore = read_scenario(input);
+    FAIL() << "a round whose totals overflow Money must be refused";
+  } catch (const InvalidScenarioError& e) {
+    EXPECT_NE(std::string(e.what()).find("exceeds Money::max()"),
+              std::string::npos)
+        << e.what();
+  }
+  // One such task still fits.
+  std::istringstream one(
+      "mcs-scenario v1\nslots 1\nvalue 2000000000000\ntask 1\n"
+      "phone 1 1 2000000000000\n");
+  EXPECT_EQ(read_scenario(one).task_count(), 1);
 }
 
 TEST(ScenarioIo, RoundTripsGeneratedWorkload) {
@@ -161,16 +179,17 @@ slots 4
 value 10
 task 3            # out of order on purpose
 phone 1 4 2.5
-task 1 value 12
+task 1
 )");
   const Scenario s = read_scenario(input);
   EXPECT_EQ(s.num_slots, 4);
   EXPECT_EQ(s.phone_count(), 1);
   ASSERT_EQ(s.task_count(), 2);
-  // Sorted by slot with dense ids; the weighted one arrived in slot 1.
+  // Sorted by slot with dense ids.
   EXPECT_EQ(s.tasks[0].slot, Slot{1});
-  EXPECT_EQ(s.value_of(TaskId{0}), mu(12));
+  EXPECT_EQ(s.tasks[0].id, TaskId{0});
   EXPECT_EQ(s.tasks[1].slot, Slot{3});
+  EXPECT_EQ(s.task_value, mu(10));
 }
 
 TEST(ScenarioIo, ParseErrorsNameTheLine) {
@@ -192,8 +211,11 @@ TEST(ScenarioIo, ParseErrorsNameTheLine) {
   expect_error_at("mcs-scenario v1\nslots x\n", "expected integer", 2);
   expect_error_at("mcs-scenario v1\nslots 3\nphone 1 2\n", "phone takes", 3);
   expect_error_at("mcs-scenario v1\nslots 3\nphone 2 1 5\n", "inverted", 3);
-  expect_error_at("mcs-scenario v1\nslots 3\ntask 1 value abc\n",
+  expect_error_at("mcs-scenario v1\nslots 3\nvalue abc\n",
                   "expected amount", 3);
+  expect_error_at("mcs-scenario v1\nslots 3\ntask 1 value 12\n",
+                  "per-task values are not supported", 3);
+  expect_error_at("mcs-scenario v1\nslots 3\ntask 1 2\n", "task takes", 3);
   expect_error_at("mcs-scenario v1\nslots 3\nfrobnicate 1\n",
                   "unknown keyword", 3);
 }

@@ -28,10 +28,6 @@ TEST(ServeWire, GoldenEncodings) {
   EXPECT_EQ(encode_serve_event(task_arrived(0, Slot{1}, TaskId{0})),
             R"({"ev":"task_arrived","round":0,"slot":1,"task":0})");
   EXPECT_EQ(
-      encode_serve_event(task_arrived(2, Slot{3}, TaskId{4},
-                                      Money::from_double(2.5))),
-      R"({"ev":"task_arrived","round":2,"slot":3,"task":4,"value":"2.5"})");
-  EXPECT_EQ(
       encode_serve_event(bid_submitted(0, PhoneId{3}, bid(1, 4, 7.5))),
       R"({"ev":"bid_submitted","round":0,"agent":3,"from":1,"to":4,"cost":"7.5"})");
   EXPECT_EQ(encode_serve_event(slot_tick(0, Slot{1})),
@@ -54,7 +50,6 @@ TEST(ServeWire, EncodeDecodeRoundTripsEveryKind) {
   const std::vector<ServeEvent> events = {
       round_open(5, 50, Money::from_double(12.25)),
       task_arrived(5, Slot{2}, TaskId{1}),
-      task_arrived(5, Slot{2}, TaskId{2}, Money::from_double(0.75)),
       bid_submitted(5, PhoneId{0}, bid(2, 9, 3.141592)),
       slot_tick(5, Slot{2}),
       round_close(5),
@@ -96,6 +91,24 @@ TEST(ServeWire, WriteEventStreamStartsWithHeader) {
 }
 
 // -------------------------------------------------------- malformed input
+
+TEST(ServeWire, RefusesPerTaskValues) {
+  // Every task is worth the round's value: a task_arrived line carrying
+  // its own value is refused, whatever the value says.
+  for (const char* line :
+       {R"({"ev":"task_arrived","round":2,"slot":3,"task":4,"value":"2.5"})",
+        R"({"ev":"task_arrived","round":0,"slot":1,"task":0,"value":"30"})",
+        R"({"ev":"task_arrived","round":0,"slot":1,"task":0,"value":"x"})"}) {
+    try {
+      std::ignore = decode_serve_line(line);
+      FAIL() << "accepted " << line;
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(kPerTaskValueRefusal),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
 
 TEST(ServeWire, RejectsMalformedLines) {
   const std::vector<std::string> bad = {

@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <limits>
 #include <map>
 #include <optional>
@@ -82,7 +83,6 @@ const std::vector<ServeEvent>& every_kind() {
   static const std::vector<ServeEvent> events = {
       round_open(5, 50, Money::from_double(12.25)),
       task_arrived(5, Slot{2}, TaskId{1}),
-      task_arrived(5, Slot{2}, TaskId{2}, Money::from_double(0.75)),
       bid_submitted(5, PhoneId{0}, bid(2, 9, 3.141592)),
       slot_tick(5, Slot{2}),
       round_close(5),
@@ -100,15 +100,10 @@ TEST(WireCodec, GoldenFrames) {
   // round_open(0, 12, "30"): kind 0, round 0, slots 12, 30'000'000 micros.
   EXPECT_EQ(encode_wire_frame(round_open(0, 12, Money::from_units(30))),
             frame(std::string(1, '\0') + le64(0) + le32(12) + le64(30000000)));
-  // task_arrived without a value: has_value byte 0, no trailing micros.
+  // task_arrived: the reserved flag byte is 0, no trailing micros.
   EXPECT_EQ(encode_wire_frame(task_arrived(0, Slot{1}, TaskId{0})),
             frame(std::string(1, '\1') + le64(0) + le32(1) + le32(0) +
                   std::string(1, '\0')));
-  EXPECT_EQ(
-      encode_wire_frame(
-          task_arrived(2, Slot{3}, TaskId{4}, Money::from_double(2.5))),
-      frame(std::string(1, '\1') + le64(2) + le32(3) + le32(4) +
-            std::string(1, '\1') + le64(2500000)));
   EXPECT_EQ(encode_wire_frame(bid_submitted(0, PhoneId{3}, bid(1, 4, 7.5))),
             frame(std::string(1, '\2') + le64(0) + le32(3) + le32(1) +
                   le32(4) + le64(7500000)));
@@ -207,19 +202,42 @@ TEST(WireCodec, RejectsMalformedFrames) {
             le64(Money::max().micros() + 1)),
       frame(std::string(1, '\0') + le64(0) + le32(1) +
             le64(std::numeric_limits<std::int64_t>::min())),
-      // has_value flag neither 0 nor 1
+      // reserved flag byte neither 0 nor the retired value flag
       frame(std::string(1, '\1') + le64(0) + le32(1) + le32(0) +
             std::string(1, '\2')),
-      // has_value=0 but a value payload present (flag/length contradiction)
+      // flag 0 with a trailing value payload
       frame(std::string(1, '\1') + le64(0) + le32(1) + le32(0) +
             std::string(1, '\0') + le64(5)),
-      // has_value=1 but no value payload
+      // flag 1 without a value payload
       frame(std::string(1, '\1') + le64(0) + le32(1) + le32(0) +
             std::string(1, '\1')),
   };
   for (const std::string& bytes : bad) {
     EXPECT_THROW((void)decode_one(bytes), InvalidArgumentError)
         << "frame of " << bytes.size() << " bytes accepted";
+  }
+}
+
+TEST(WireCodec, RefusesPerTaskValuesLikeJsonl) {
+  // The retired 26-byte value layout is refused with the same message the
+  // JSONL decoder gives a "value" field.
+  const std::string valued =
+      frame(std::string(1, '\1') + le64(2) + le32(3) + le32(4) +
+            std::string(1, '\1') + le64(2500000));
+  for (const auto& decode : std::vector<std::function<void()>>{
+           [&] { (void)decode_one(valued); },
+           [] {
+             (void)decode_serve_line(
+                 R"({"ev":"task_arrived","round":2,"slot":3,"task":4,"value":"2.5"})");
+           }}) {
+    try {
+      decode();
+      FAIL() << "per-task value accepted";
+    } catch (const InvalidArgumentError& e) {
+      EXPECT_NE(std::string(e.what()).find(kPerTaskValueRefusal),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 
@@ -467,6 +485,7 @@ TEST(WireFuzz, SeededMutationsNeverCrashTheDecoder) {
 struct DrawnEvent {
   std::string jsonl;
   std::string binary;  ///< frame bytes (no stream header)
+  bool per_task_value{false};  ///< a task_arrived carrying its own value
 };
 
 std::string render_micros(std::int64_t micros) {
@@ -528,6 +547,7 @@ DrawnEvent draw_event(std::mt19937_64& rng) {
       drawn.binary = std::string(1, '\1') + le64(round) + le32(slot) +
                      le32(task);
       if (has_value) {
+        drawn.per_task_value = true;
         drawn.jsonl += ",\"value\":\"" + render_micros(micros) + "\"";
         drawn.binary += std::string(1, '\1') + le64(micros);
       } else {
@@ -579,20 +599,29 @@ TEST(WireFuzz, BinaryAndJsonlDecodersAcceptAndRejectInLockstep) {
     const DrawnEvent drawn = draw_event(rng);
     std::optional<ServeEvent> from_jsonl;
     std::optional<ServeEvent> from_binary;
+    std::string jsonl_error;
+    std::string binary_error;
     try {
       from_jsonl = decode_serve_line(drawn.jsonl);
-    } catch (const InvalidArgumentError&) {
+    } catch (const InvalidArgumentError& e) {
+      jsonl_error = e.what();
     }
     try {
       const auto decoded = decode_wire_frame(drawn.binary);
       ASSERT_TRUE(decoded.has_value()) << drawn.jsonl;  // complete frame
       from_binary = decoded->event;
-    } catch (const InvalidArgumentError&) {
+    } catch (const InvalidArgumentError& e) {
+      binary_error = e.what();
     }
     ASSERT_EQ(from_jsonl.has_value(), from_binary.has_value())
         << "divergence on " << drawn.jsonl << " (jsonl "
         << (from_jsonl ? "accepted" : "rejected") << ", binary "
         << (from_binary ? "accepted" : "rejected") << ")";
+    // A per-task value is refused by both, for the same reason.
+    ASSERT_TRUE(!drawn.per_task_value || !from_jsonl) << drawn.jsonl;
+    ASSERT_EQ(jsonl_error.find(kPerTaskValueRefusal) != std::string::npos,
+              binary_error.find(kPerTaskValueRefusal) != std::string::npos)
+        << drawn.jsonl << ": " << jsonl_error << " / " << binary_error;
     if (from_jsonl) {
       ++accepted;
       // Acceptance must also agree on the decoded value, byte for byte.
@@ -636,10 +665,8 @@ std::vector<ServeEvent> random_events(std::mt19937_64& rng, int max_events) {
             round_open(round, small(1, 60), Money::from_micros(micros())));
         break;
       case 1: {
-        std::optional<Money> value;
-        if (rng() % 2 == 0) value = Money::from_micros(micros());
         events.push_back(task_arrived(round, Slot{small(1, 60)},
-                                      TaskId{small(0, 40)}, value));
+                                      TaskId{small(0, 40)}));
         break;
       }
       case 2: {

@@ -1,4 +1,4 @@
-#include "matching/bipartite_graph.hpp"
+#include "support/bipartite_graph.hpp"
 
 #include <algorithm>
 

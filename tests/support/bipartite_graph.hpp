@@ -1,12 +1,10 @@
-// Dense weighted bipartite graphs (the representation of Section IV-B).
+// Dense weighted bipartite graphs (the representation of Section IV-B),
+// for the test-side matching oracles.
 //
-// The offline winning-bid determination problem is a maximum-weight
-// bipartite matching: left vertices are sensing tasks, right vertices are
-// smartphones, and the edge (task in slot j, phone i) exists with weight
-// nu - b_i exactly when phone i's reported active window covers slot j
-// (paper Fig. 3). This header provides the graph representation and the
-// matching result type; solvers live in hungarian.hpp / min_cost_flow.hpp
-// (the exhaustive test oracle is tests/support/brute_force.hpp).
+// Left vertices are sensing tasks, right vertices are smartphones, and the
+// edge (task in slot j, phone i) exists with weight nu - b_i exactly when
+// phone i's reported active window covers slot j (paper Fig. 3). The
+// solvers are support/hungarian.hpp and support/brute_force.hpp.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 // small graphs.
 #pragma once
 
-#include "matching/bipartite_graph.hpp"
+#include "support/bipartite_graph.hpp"
 
 namespace mcs::matching {
 

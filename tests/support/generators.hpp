@@ -8,9 +8,6 @@
 //  * scarcity_free(): full-round phones with strictly more phones than
 //    tasks -- the regime of the critical-value and truthfulness proofs
 //    (DESIGN.md §5).
-//  * weighted_tasks(): arbitrary windows plus per-task values around the
-//    cost range (weighted-query extension), so profitable-only decisions
-//    and scarce caps differ task by task.
 // All are deterministic in the Rng passed in.
 #pragma once
 
@@ -62,25 +59,6 @@ inline model::Scenario scarcity_free(Rng& rng,
   }
   for (int k = 0; k < tasks; ++k) {
     builder.task(static_cast<Slot::rep_type>(rng.uniform_int(1, limits.slots)));
-  }
-  return builder.build();
-}
-
-/// Arbitrary windows, per-task values.
-inline model::Scenario weighted_tasks(Rng& rng) {
-  const Slot::rep_type slots = 6;
-  model::ScenarioBuilder builder(slots);
-  builder.value(30);
-  const int phones = static_cast<int>(rng.uniform_int(2, 9));
-  for (int i = 0; i < phones; ++i) {
-    const auto a = static_cast<Slot::rep_type>(rng.uniform_int(1, slots));
-    const auto d = static_cast<Slot::rep_type>(rng.uniform_int(a, slots));
-    builder.phone(a, d, rng.uniform_int(1, 40));
-  }
-  const int tasks = static_cast<int>(rng.uniform_int(1, 7));
-  for (int k = 0; k < tasks; ++k) {
-    builder.valued_task(static_cast<Slot::rep_type>(rng.uniform_int(1, slots)),
-                        rng.uniform_int(1, 80));
   }
   return builder.build();
 }

@@ -1,10 +1,10 @@
-#include "matching/hungarian.hpp"
+#include "support/hungarian.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/assert.hpp"
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 
 namespace mcs::matching {
 
@@ -30,29 +30,25 @@ std::int64_t MinCostAssigner::cost1(int i, int j) const {
                static_cast<std::size_t>(j - 1)];
 }
 
-void MinCostAssigner::augment_row(DualState& s, int row1,
-                                  int excluded_col1) const {
+void MinCostAssigner::augment_row(int row1) {
   // One shortest-augmenting-path iteration (Dijkstra on reduced costs) that
-  // matches `row1`, maintaining dual feasibility. `excluded_col1` (or 0)
-  // marks a deleted column that must not be entered.
+  // matches `row1`, maintaining dual feasibility.
   std::vector<std::int64_t> minv(static_cast<std::size_t>(cols_) + 1, kInf);
   std::vector<char> used(static_cast<std::size_t>(cols_) + 1, 0);
   std::vector<int> way(static_cast<std::size_t>(cols_) + 1, 0);
 
-  s.p[0] = row1;
+  p_[0] = row1;
   int j0 = 0;
-  std::int64_t iterations = 0;
   do {
-    ++iterations;
     used[static_cast<std::size_t>(j0)] = 1;
-    const int i0 = s.p[static_cast<std::size_t>(j0)];
+    const int i0 = p_[static_cast<std::size_t>(j0)];
     std::int64_t delta = kInf;
     int j1 = -1;
     for (int j = 1; j <= cols_; ++j) {
-      if (used[static_cast<std::size_t>(j)] || j == excluded_col1) continue;
-      const std::int64_t cur =
-          cost1(i0, j) - s.u[static_cast<std::size_t>(i0)] -
-          s.v[static_cast<std::size_t>(j)];
+      if (used[static_cast<std::size_t>(j)]) continue;
+      const std::int64_t cur = cost1(i0, j) -
+                               u_[static_cast<std::size_t>(i0)] -
+                               v_[static_cast<std::size_t>(j)];
       if (cur < minv[static_cast<std::size_t>(j)]) {
         minv[static_cast<std::size_t>(j)] = cur;
         way[static_cast<std::size_t>(j)] = j0;
@@ -69,56 +65,42 @@ void MinCostAssigner::augment_row(DualState& s, int row1,
     }
     for (int j = 0; j <= cols_; ++j) {
       if (used[static_cast<std::size_t>(j)]) {
-        s.u[static_cast<std::size_t>(s.p[static_cast<std::size_t>(j)])] += delta;
-        s.v[static_cast<std::size_t>(j)] -= delta;
+        u_[static_cast<std::size_t>(p_[static_cast<std::size_t>(j)])] += delta;
+        v_[static_cast<std::size_t>(j)] -= delta;
       } else if (minv[static_cast<std::size_t>(j)] < kInf) {
         minv[static_cast<std::size_t>(j)] -= delta;
       }
     }
     j0 = j1;
-  } while (s.p[static_cast<std::size_t>(j0)] != 0);
-
-  if (obs::MetricsRegistry* registry = obs::current_registry()) {
-    registry->counter("matching.hungarian.iterations").add(iterations);
-    registry->counter("matching.hungarian.augmenting_paths").add(1);
-  }
+  } while (p_[static_cast<std::size_t>(j0)] != 0);
 
   // Unwind the alternating path, flipping matched/unmatched edges.
   do {
     const int j1 = way[static_cast<std::size_t>(j0)];
-    s.p[static_cast<std::size_t>(j0)] = s.p[static_cast<std::size_t>(j1)];
+    p_[static_cast<std::size_t>(j0)] = p_[static_cast<std::size_t>(j1)];
     j0 = j1;
   } while (j0 != 0);
 }
 
-std::int64_t MinCostAssigner::assignment_cost(const DualState& s,
-                                              int excluded_col1) const {
-  std::int64_t total = 0;
-  for (int j = 1; j <= cols_; ++j) {
-    if (j == excluded_col1) continue;
-    const int i = s.p[static_cast<std::size_t>(j)];
-    if (i != 0) total += cost1(i, j);
-  }
-  return total;
-}
-
 void MinCostAssigner::solve() {
   if (solved_) return;
-  obs::count("matching.hungarian.solves");
-  state_.u.assign(static_cast<std::size_t>(rows_) + 1, 0);
-  state_.v.assign(static_cast<std::size_t>(cols_) + 1, 0);
-  state_.p.assign(static_cast<std::size_t>(cols_) + 1, 0);
-  for (int i = 1; i <= rows_; ++i) augment_row(state_, i, /*excluded=*/0);
+  u_.assign(static_cast<std::size_t>(rows_) + 1, 0);
+  v_.assign(static_cast<std::size_t>(cols_) + 1, 0);
+  p_.assign(static_cast<std::size_t>(cols_) + 1, 0);
+  for (int i = 1; i <= rows_; ++i) augment_row(i);
 
   row_to_col_.assign(static_cast<std::size_t>(rows_), -1);
+  total_cost_ = 0;
   for (int j = 1; j <= cols_; ++j) {
-    const int i = state_.p[static_cast<std::size_t>(j)];
-    if (i != 0) row_to_col_[static_cast<std::size_t>(i - 1)] = j - 1;
+    const int i = p_[static_cast<std::size_t>(j)];
+    if (i != 0) {
+      row_to_col_[static_cast<std::size_t>(i - 1)] = j - 1;
+      total_cost_ += cost1(i, j);
+    }
   }
   for (const int c : row_to_col_) {
     MCS_ENSURES(c >= 0, "every row must be assigned after solve()");
   }
-  total_cost_ = assignment_cost(state_, /*excluded=*/0);
   solved_ = true;
 }
 
@@ -134,31 +116,12 @@ std::int64_t MinCostAssigner::total_cost() const {
 
 const std::vector<std::int64_t>& MinCostAssigner::row_potentials() const {
   MCS_EXPECTS(solved_, "row_potentials() before solve()");
-  return state_.u;
+  return u_;
 }
 
 const std::vector<std::int64_t>& MinCostAssigner::col_potentials() const {
   MCS_EXPECTS(solved_, "col_potentials() before solve()");
-  return state_.v;
-}
-
-std::int64_t MinCostAssigner::total_cost_excluding_column(int col) const {
-  MCS_EXPECTS(solved_, "total_cost_excluding_column() before solve()");
-  MCS_EXPECTS(col >= 0 && col < cols_, "column index out of range");
-  const int col1 = col + 1;
-  const int displaced_row = state_.p[static_cast<std::size_t>(col1)];
-  if (displaced_row == 0) {
-    // Column was unmatched: deleting it changes nothing.
-    return total_cost_;
-  }
-  // The optimal duals remain feasible for the reduced instance, and
-  // complementary slackness holds for every remaining matched pair, so a
-  // single augmentation of the displaced row restores optimality.
-  obs::count("matching.hungarian.incremental_queries");
-  DualState s = state_;
-  s.p[static_cast<std::size_t>(col1)] = 0;
-  augment_row(s, displaced_row, col1);
-  return assignment_cost(s, col1);
+  return v_;
 }
 
 // ------------------------------------------------------- MaxWeightMatcher
@@ -191,7 +154,7 @@ MinCostAssigner build_padded_assigner(const WeightMatrix& graph) {
 }  // namespace
 
 MaxWeightMatcher::MaxWeightMatcher(const WeightMatrix& graph)
-    : real_cols_(graph.cols()), assigner_(build_padded_assigner(graph)) {}
+    : graph_(graph), assigner_(build_padded_assigner(graph)) {}
 
 const Matching& MaxWeightMatcher::solve() {
   if (solved_) return matching_;
@@ -200,7 +163,9 @@ const Matching& MaxWeightMatcher::solve() {
                               std::nullopt);
   for (int r = 0; r < assigner_.rows(); ++r) {
     const int c = assigner_.row_to_col()[static_cast<std::size_t>(r)];
-    if (c < real_cols_) matching_.row_to_col[static_cast<std::size_t>(r)] = c;
+    if (c < graph_.cols()) {
+      matching_.row_to_col[static_cast<std::size_t>(r)] = c;
+    }
   }
   matching_.total_weight = Money::from_micros(-assigner_.total_cost());
   MCS_ENSURES(!matching_.total_weight.is_negative(),
@@ -215,9 +180,50 @@ Money MaxWeightMatcher::total_weight() {
 }
 
 Money MaxWeightMatcher::total_weight_without_column(int col) {
-  MCS_EXPECTS(col >= 0 && col < real_cols_, "column index out of range");
-  solve();
-  return Money::from_micros(-assigner_.total_cost_excluding_column(col));
+  MCS_EXPECTS(col >= 0 && col < graph_.cols(), "column index out of range");
+  return MaxWeightMatcher(graph_.without_column(col)).total_weight();
+}
+
+// ------------------------------------------------------------ offline VCG
+
+WeightMatrix offline_graph(const model::Scenario& scenario,
+                           const model::BidProfile& bids) {
+  model::validate_bids(scenario, bids);
+  WeightMatrix graph(scenario.task_count(), scenario.phone_count());
+  for (int t = 0; t < scenario.task_count(); ++t) {
+    const Slot slot = scenario.tasks[static_cast<std::size_t>(t)].slot;
+    for (int i = 0; i < scenario.phone_count(); ++i) {
+      const model::Bid& bid = bids[static_cast<std::size_t>(i)];
+      if (bid.window.contains(slot)) {
+        graph.set(t, i, scenario.task_value - bid.claimed_cost);
+      }
+    }
+  }
+  return graph;
+}
+
+auction::Outcome hungarian_offline_vcg(const model::Scenario& scenario,
+                                       const model::BidProfile& bids) {
+  const WeightMatrix graph = offline_graph(scenario, bids);
+  MaxWeightMatcher matcher(graph);
+  const Matching& matching = matcher.solve();
+
+  auction::Outcome outcome;
+  outcome.allocation =
+      auction::Allocation(scenario.task_count(), scenario.phone_count());
+  outcome.payments.assign(scenario.phones.size(), Money{});
+  for (int t = 0; t < scenario.task_count(); ++t) {
+    if (const auto col = matching.row_to_col[static_cast<std::size_t>(t)]) {
+      outcome.allocation.assign(TaskId{t}, PhoneId{*col});
+    }
+  }
+  const Money welfare_all = matching.total_weight;
+  for (const PhoneId winner : outcome.allocation.winners()) {
+    const auto i = static_cast<std::size_t>(winner.value());
+    outcome.payments[i] = welfare_all + bids[i].claimed_cost -
+                          matcher.total_weight_without_column(winner.value());
+  }
+  return outcome;
 }
 
 }  // namespace mcs::matching

@@ -1,30 +1,33 @@
-// Hungarian algorithm (Kuhn-Munkres via shortest augmenting paths with
-// potentials) -- the paper's optimal winning-bids determination engine.
-//
-// Two layers:
+// The Hungarian oracle for the offline mechanism (Kuhn-Munkres via
+// shortest augmenting paths with potentials), and offline VCG computed the
+// textbook way on top of it. The production mechanism
+// (auction/offline_vcg) is the transversal-matroid greedy;
+// offline_equivalence_test holds it to this oracle.
 //
 //  * MinCostAssigner: exact minimum-cost assignment of `rows` items to
 //    distinct columns of a dense int64 cost matrix (rows <= cols, forbidden
 //    entries allowed). O(rows^2 * cols) -- the O((n+gamma)^3) bound of
-//    Theorem 3. After solving it exposes the optimal dual potentials, which
-//    makes *sensitivity queries* cheap: deleting one column leaves the duals
-//    feasible, so re-optimizing needs a single augmenting-path iteration
-//    (O(rows * cols)) instead of a full re-solve. The offline VCG payment
-//    rule needs exactly this query once per winner.
+//    Theorem 3. Exposes the optimal dual potentials as a certificate.
 //
 //  * MaxWeightMatcher: maximum-weight (not necessarily perfect) bipartite
 //    matching over a WeightMatrix, built on MinCostAssigner by negating
 //    weights and padding with one zero-cost "stay unmatched" dummy column
 //    per row. This is the transformation of Section IV-B: a task may always
 //    remain unallocated, and negative-welfare edges are never taken.
+//
+//  * hungarian_offline_vcg: the allocation of one maximum-weight matching
+//    on Fig. 3's graph, with Eq. (7) payments whose omega*(B_{-i}) comes
+//    from a full re-solve without phone i.
 #pragma once
 
 #include <cstdint>
 #include <limits>
 #include <vector>
 
+#include "auction/outcome.hpp"
 #include "common/money.hpp"
-#include "matching/bipartite_graph.hpp"
+#include "model/scenario.hpp"
+#include "support/bipartite_graph.hpp"
 
 namespace mcs::matching {
 
@@ -54,41 +57,28 @@ class MinCostAssigner {
   [[nodiscard]] std::int64_t total_cost() const;
 
   /// Optimal dual potentials (LP certificate); for all (i, j):
-  /// cost(i, j) >= u[i] + v[j], with equality on matched pairs. Exposed for
-  /// validation in tests. Requires solve().
+  /// cost(i, j) >= u[i] + v[j], with equality on matched pairs. Requires
+  /// solve().
   [[nodiscard]] const std::vector<std::int64_t>& row_potentials() const;
   [[nodiscard]] const std::vector<std::int64_t>& col_potentials() const;
 
-  /// Optimal total cost of the instance with column `col` deleted, assuming
-  /// the remaining instance is still feasible. Runs one augmenting-path
-  /// iteration on a copy of the dual state: O(rows * cols). Requires
-  /// solve(); does not modify this solver.
-  [[nodiscard]] std::int64_t total_cost_excluding_column(int col) const;
-
  private:
-  struct DualState {
-    std::vector<std::int64_t> u;  // row potentials, 1-based
-    std::vector<std::int64_t> v;  // col potentials, 1-based
-    std::vector<int> p;           // p[j] = row matched to col j (1-based; 0 = free)
-  };
-
   [[nodiscard]] std::int64_t cost1(int i, int j) const;  // 1-based access
-  void augment_row(DualState& s, int row1, int excluded_col1) const;
-  [[nodiscard]] std::int64_t assignment_cost(const DualState& s,
-                                             int excluded_col1) const;
+  void augment_row(int row1);
 
   int rows_;
   int cols_;
   std::vector<std::int64_t> cost_;  // row-major, 0-based storage
-  DualState state_;
+  std::vector<std::int64_t> u_;     // row potentials, 1-based
+  std::vector<std::int64_t> v_;     // col potentials, 1-based
+  std::vector<int> p_;              // p_[j] = row matched to col j (0 = free)
   std::vector<int> row_to_col_;
   std::int64_t total_cost_{0};
   bool solved_{false};
 };
 
 /// Maximum-weight bipartite matching with optional rows ("a task may stay
-/// unallocated"). The matcher owns its solve state and supports the VCG
-/// sensitivity query.
+/// unallocated").
 class MaxWeightMatcher {
  public:
   explicit MaxWeightMatcher(const WeightMatrix& graph);
@@ -101,15 +91,26 @@ class MaxWeightMatcher {
   Money total_weight();
 
   /// Optimal total weight with column `col` (a smartphone) removed from the
-  /// graph -- the omega*(B_{-i}) term of the VCG payment (Eq. 7). Uses the
-  /// incremental dual query; O(rows * cols) per call. Implies solve().
+  /// graph -- the omega*(B_{-i}) term of the VCG payment (Eq. 7), by a
+  /// full re-solve.
   Money total_weight_without_column(int col);
 
  private:
-  int real_cols_;
+  WeightMatrix graph_;
   MinCostAssigner assigner_;
   Matching matching_;
   bool solved_{false};
 };
+
+/// Fig. 3's graph: rows are tasks in scenario order, columns are phones,
+/// edge weight nu - b_i iff phone i's reported window contains the task's
+/// slot.
+[[nodiscard]] WeightMatrix offline_graph(const model::Scenario& scenario,
+                                         const model::BidProfile& bids);
+
+/// Offline VCG by the Hungarian solver: one maximum-weight matching on
+/// offline_graph, and p_i = omega*(B) + b_i - omega*(B_{-i}) for winners.
+[[nodiscard]] auction::Outcome hungarian_offline_vcg(
+    const model::Scenario& scenario, const model::BidProfile& bids);
 
 }  // namespace mcs::matching

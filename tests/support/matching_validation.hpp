@@ -8,7 +8,7 @@
 #pragma once
 
 #include "common/money.hpp"
-#include "matching/bipartite_graph.hpp"
+#include "support/bipartite_graph.hpp"
 
 namespace mcs::matching {
 

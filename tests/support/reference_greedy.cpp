@@ -38,16 +38,13 @@ ReferenceRun reference_allocation(const model::Scenario& scenario,
     for (const model::Task& task : scenario.tasks) {
       if (task.slot == Slot{t}) tasks.push_back(task.id.value());
     }
-    std::stable_sort(tasks.begin(), tasks.end(), [&](int a, int b) {
-      return scenario.value_of(TaskId{a}) > scenario.value_of(TaskId{b});
-    });
 
     ReferenceSlot slot;
     std::size_t next = 0;
     for (const int task : tasks) {
       const bool unprofitable =
           next < pool.size() && config.allocate_only_profitable &&
-          cost(pool[next]) > scenario.value_of(TaskId{task});
+          cost(pool[next]) > scenario.task_value;
       if (next == pool.size() || unprofitable) {
         slot.unserved.push_back(task);
         continue;
@@ -88,11 +85,11 @@ ReferenceOutcome reference_online_greedy(
           payment = std::max(
               payment, bids[static_cast<std::size_t>(rival)].claimed_cost);
         }
-        for (const int unserved : slot.unserved) {
-          // Without the winner this task has no taker: the winner's
+        if (!slot.unserved.empty()) {
+          // Without the winner a task has no taker: the winner's
           // threshold for it is the reserve (capped by the task value
           // under profitable-only), else the task value.
-          Money threshold = scenario.value_of(TaskId{unserved});
+          Money threshold = scenario.task_value;
           if (config.reserve_price) {
             threshold = config.allocate_only_profitable
                             ? std::min(threshold, *config.reserve_price)

@@ -49,7 +49,7 @@ if(CMAKE_VERSION VERSION_GREATER_EQUAL 3.19)
     message(FATAL_ERROR "unexpected telemetry schema: ${schema}")
   endif()
   foreach(counter
-      matching.hungarian.iterations
+      auction.offline_vcg.augmenting_paths
       auction.critical_value.probes
       auction.greedy.allocation_runs)
     string(JSON value GET "${metrics_json}" counters ${counter})
